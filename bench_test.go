@@ -985,11 +985,11 @@ func BenchmarkColdReplay10x(b *testing.B) {
 // BenchmarkColdTable2 measures the fully cold Table II regeneration — a
 // fresh campaign engine with no memo and no caches, every kernel
 // executed, every cell analysed from scratch. Profiling shows this cost
-// is almost entirely real kernel arithmetic at the default iteration
-// counts (~41 ms/op on the 1-core reference container, unchanged from
-// PR 4 within noise — the post-kernel stages dedup accelerates were
-// already ~1 ms of it; BenchmarkColdReplay10x is where the cold win is
-// visible). Gated at a generous 100 ms absolute bound (~2.4x headroom) so a real cold
+// is mostly real kernel arithmetic at the default iteration counts
+// (BenchmarkColdCapture splits it per kernel and stage); on a 2-vCPU
+// Xeon container with go1.24 at -cpu 1 it measures about 40–60 ms/op,
+// down from 85–110 ms before the kernel hot loops were rewritten
+// bit-identically. Gated at a 100 ms absolute bound so a real cold
 // regression fails CI without flaking on runner noise.
 func BenchmarkColdTable2(b *testing.B) {
 	p := platform()
@@ -1004,7 +1004,7 @@ func BenchmarkColdTable2(b *testing.B) {
 		}
 	})
 	b.ReportMetric(coldNs/1e6, "cold-table2-ms")
-	const gateNs = 100e6 // ~2.4x over the ~41 ms reference-container cost
+	const gateNs = 100e6 // ~2x over the ~50 ms measured at -cpu 1
 	if coldNs > gateNs {
 		b.Errorf("cold Table II takes %.1f ms/op, gate is %.0f ms", coldNs/1e6, gateNs/1e6)
 	}
@@ -1020,6 +1020,41 @@ func BenchmarkColdTable2(b *testing.B) {
 		}
 	}
 	b.ReportMetric(coldNs/1e6, "cold-table2-ms")
+}
+
+// BenchmarkColdCapture is the per-kernel ledger of the cold path: for
+// each Table I workload at its fast configuration, one reference run —
+// Setup, Run and Verify on a fresh environment with the spec's seed —
+// with each stage reported as ms/op. Run it at -cpu 1 with -count >= 5
+// to compare kernels across changes; it records, it does not gate.
+func BenchmarkColdCapture(b *testing.B) {
+	for _, spec := range experiments.Specs() {
+		spec := spec
+		b.Run(spec.Name, func(b *testing.B) {
+			var setup, run, verify time.Duration
+			for i := 0; i < b.N; i++ {
+				w := spec.Fast()
+				env := workloads.NewEnv(0, 1, spec.Options.Seed)
+				t0 := time.Now()
+				if err := w.Setup(env); err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				if err := w.Run(env); err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				if err := w.Verify(); err != nil {
+					b.Fatal(err)
+				}
+				setup, run, verify = setup+t1.Sub(t0), run+t2.Sub(t1), verify+time.Since(t2)
+			}
+			perOp := func(d time.Duration) float64 { return float64(d) / 1e6 / float64(b.N) }
+			b.ReportMetric(perOp(setup), "setup-ms")
+			b.ReportMetric(perOp(run), "run-ms")
+			b.ReportMetric(perOp(verify), "verify-ms")
+		})
+	}
 }
 
 // BenchmarkColdTable2Workers measures the cold Table II campaign at

@@ -2,6 +2,7 @@ package fft
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"testing"
 	"testing/quick"
@@ -189,6 +190,155 @@ func TestWaveNumbers(t *testing.T) {
 	for i, w := range want {
 		if math.Abs(ks[i]-2*math.Pi*w/8) > 1e-12 {
 			t.Fatalf("k[%d] = %g, want %g", i, ks[i], 2*math.Pi*w/8)
+		}
+	}
+}
+
+// unplannedTransform is the transform with its twiddles computed inline
+// — one cmplx.Exp per stage and a w *= wBase recurrence per butterfly
+// block — the form the planned tables must reproduce bit for bit.
+func unplannedTransform(x []complex128, inverse bool) {
+	n := len(x)
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		wBase := cmplx.Exp(complex(0, step))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+				w *= wBase
+			}
+		}
+	}
+	if inverse {
+		inv := complex(1/float64(n), 0)
+		for i := range x {
+			x[i] *= inv
+		}
+	}
+}
+
+// unplannedFFT3 transforms g axis by axis, gathering every line through
+// Idx and transforming it with unplannedTransform.
+func unplannedFFT3(g *Grid3, inverse bool) {
+	n := g.N
+	line := make([]complex128, n)
+	for axis := 0; axis < 3; axis++ {
+		for b := 0; b < n; b++ {
+			for a := 0; a < n; a++ {
+				at := func(t int) int {
+					switch axis {
+					case 0:
+						return g.Idx(t, a, b)
+					case 1:
+						return g.Idx(a, t, b)
+					default:
+						return g.Idx(a, b, t)
+					}
+				}
+				for t := range line {
+					line[t] = g.Data[at(t)]
+				}
+				unplannedTransform(line, inverse)
+				for t := range line {
+					g.Data[at(t)] = line[t]
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestPlannedTransformsBitIdentical pins the planned 1-D and 3-D
+// transforms to the unplanned reference bit for bit, in both
+// directions, including signed zeros in the input.
+func TestPlannedTransformsBitIdentical(t *testing.T) {
+	rng := xrand.New(11)
+	for _, n := range []int{1, 2, 4, 8, 16, 32} {
+		for _, inverse := range []bool{false, true} {
+			x := make([]complex128, n)
+			for i := range x {
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			x[0] = complex(math.Copysign(0, -1), 0)
+			want := append([]complex128(nil), x...)
+			unplannedTransform(want, inverse)
+			tf := FFT
+			if inverse {
+				tf = IFFT
+			}
+			if err := tf(x); err != nil {
+				t.Fatal(err)
+			}
+			for i := range x {
+				if !sameBits(x[i], want[i]) {
+					t.Fatalf("n=%d inverse=%v: 1-D bin %d = %v, unplanned %v", n, inverse, i, x[i], want[i])
+				}
+			}
+		}
+	}
+	for _, n := range []int{2, 4, 8, 16} {
+		g, err := NewGrid3(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.Data {
+			g.Data[i] = complex(rng.NormFloat64(), 0)
+		}
+		ref := &Grid3{N: n, Data: append([]complex128(nil), g.Data...)}
+		// Forward then inverse on the same grid: the second call reuses
+		// the plan the first one built.
+		for _, inverse := range []bool{false, true} {
+			if err := g.FFT3(inverse); err != nil {
+				t.Fatal(err)
+			}
+			unplannedFFT3(ref, inverse)
+			for i := range g.Data {
+				if !sameBits(g.Data[i], ref.Data[i]) {
+					t.Fatalf("n=%d inverse=%v: FFT3 point %d = %v, unplanned %v", n, inverse, i, g.Data[i], ref.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFFT3 measures one forward and one inverse transform of the
+// 16³ grid k-Wave's fast configuration runs.
+func BenchmarkFFT3(b *testing.B) {
+	g, err := NewGrid3(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(5)
+	for i := range g.Data {
+		g.Data[i] = complex(rng.NormFloat64(), 0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.FFT3(false); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.FFT3(true); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -75,6 +75,7 @@ type KWave struct {
 	srcP, srcMask, sensorD *shim.TrackedSlice[float64]
 
 	grid    *fft.Grid3
+	axisFac []complex128 // divU scratch: dd[t]·sg[t] of the current axis
 	ks      []float64
 	env     *workloads.Env
 	energy  []float64
@@ -151,6 +152,7 @@ func (w *KWave) Setup(env *workloads.Env) error {
 		return err
 	}
 	w.ks = fft.WaveNumbers(n)
+	w.axisFac = make([]complex128, n)
 
 	// Operators: i·k with staggered-grid shifts exp(±i k/2), unit kappa
 	// (uniform medium), uniform sound speed and density maps.
@@ -251,12 +253,14 @@ func (w *KWave) gradP() error {
 	for dim, out := range []*shim.TrackedSlice[float64]{w.dux, w.duy, w.duz} {
 		dd := [3]*shim.TrackedSlice[complex128]{w.ddx, w.ddy, w.ddz}[dim]
 		sg := [3]*shim.TrackedSlice[complex128]{w.sgxp, w.sgyp, w.sgzp}[dim]
+		si, sj, sk := axisStrides(dim)
+		spec, kap := w.workC1.Data, w.kappa.Data
 		for k := 0; k < n; k++ {
 			for j := 0; j < n; j++ {
+				row := g.Idx(0, j, k)
 				for i := 0; i < n; i++ {
-					idx := g.Idx(i, j, k)
-					t := [3]int{i, j, k}[dim]
-					g.Data[idx] = w.workC1.Data[idx] * dd.Data[t] * sg.Data[t] * complex(w.kappa.Data[idx], 0)
+					idx, t := row+i, i*si+j*sj+k*sk
+					g.Data[idx] = spec[idx] * dd.Data[t] * sg.Data[t] * complex(kap[idx], 0)
 				}
 			}
 		}
@@ -277,6 +281,19 @@ func (w *KWave) gradP() error {
 	return nil
 }
 
+// axisStrides returns the unit selector of dimension dim: the position
+// along it of (i, j, k) is i*si + j*sj + k*sk.
+func axisStrides(dim int) (si, sj, sk int) {
+	switch dim {
+	case 0:
+		return 1, 0, 0
+	case 1:
+		return 0, 1, 0
+	default:
+		return 0, 0, 1
+	}
+}
+
 // divU computes ∇·u spectrally into dux (reused as the divergence
 // accumulator at the pressure points).
 func (w *KWave) divU() error {
@@ -294,12 +311,18 @@ func (w *KWave) divU() error {
 		if err := g.FFT3(false); err != nil {
 			return err
 		}
+		// The per-point factor dd[t]·sg[t] depends on the axis
+		// position alone, so it is formed once per position.
+		fac := w.axisFac
+		for t := range fac {
+			fac[t] = dd.Data[t] * sg.Data[t]
+		}
+		si, sj, sk := axisStrides(dim)
 		for k := 0; k < n; k++ {
 			for j := 0; j < n; j++ {
+				row := g.Idx(0, j, k)
 				for i := 0; i < n; i++ {
-					idx := g.Idx(i, j, k)
-					t := [3]int{i, j, k}[dim]
-					g.Data[idx] *= dd.Data[t] * sg.Data[t]
+					g.Data[row+i] *= fac[i*si+j*sj+k*sk]
 				}
 			}
 		}

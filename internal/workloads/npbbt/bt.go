@@ -73,6 +73,7 @@ type BT struct {
 
 	cmat     npbcommon.Mat5
 	cij      npbcommon.IJ // cmat in the I/J block algebra
+	exact    *npbcommon.ExactField
 	env      *workloads.Env
 	errNorms []float64
 }
@@ -131,21 +132,10 @@ func (b *BT) Setup(env *workloads.Env) error {
 	}
 	b.cij = npbcommon.IJ{A: 1 - couple/4, B: couple / 4}
 
-	npbcommon.FillExact(b.g, b.u.Data)
-	b.computeAuxInto(b.u.Data, false)
+	b.exact = npbcommon.NewExactField(b.g)
+	b.exact.Fill(b.u.Data)
 	b.computeForcing()
-	n := float64(c.RealN - 1)
-	for k := 1; k < c.RealN-1; k++ {
-		for j := 1; j < c.RealN-1; j++ {
-			for i := 1; i < c.RealN-1; i++ {
-				idx := b.g.Idx(i, j, k) * 5
-				for comp := 0; comp < 5; comp++ {
-					x, y, z := float64(i)/n, float64(j)/n, float64(k)/n
-					b.u.Data[idx+comp] += 0.12 * math.Sin(2*math.Pi*x) * math.Sin(3*math.Pi*y) * math.Sin(2*math.Pi*z)
-				}
-			}
-		}
-	}
+	npbcommon.Perturb(b.g, b.u.Data, 0.12, [3]float64{2 * math.Pi, 3 * math.Pi, 2 * math.Pi})
 	b.errNorms = b.errNorms[:0]
 	b.env = env
 	return nil
@@ -205,27 +195,32 @@ func (b *BT) emit(name string, flopsPerPt, eff float64, pts int, streams []trace
 	})
 }
 
-// operatorAt evaluates the coupled explicit operator L(u) at one
-// interior point into out (all 5 components).
+// operatorAt evaluates the coupled explicit operator L(u) at interior
+// cell (i, j, k) (all 5 components).
 func (b *BT) operatorAt(u []float64, i, j, k int) npbcommon.Vec5 {
 	g := b.g
+	n := g.N
 	idx := g.Idx(i, j, k)
+	st := g.Strides5()
+	base := idx * 5
 	// lap[c'] = Σ_dims δ² u_c'
 	var lap npbcommon.Vec5
 	for c := 0; c < 5; c++ {
 		s := 0.0
-		for dim := 0; dim < 3; dim++ {
-			s += npbcommon.Diff2(g, u, c, i, j, k, dim)
-		}
+		s += npbcommon.Diff2At(u, base+c, st[0])
+		s += npbcommon.Diff2At(u, base+c, st[1])
+		s += npbcommon.Diff2At(u, base+c, st[2])
 		lap[c] = s
 	}
 	coupled := b.cmat.MulVec(&lap)
-	divU := (b.us.Data[g.Idx(i+1, j, k)] - b.us.Data[g.Idx(i-1, j, k)] +
-		b.vs.Data[g.Idx(i, j+1, k)] - b.vs.Data[g.Idx(i, j-1, k)] +
-		b.ws.Data[g.Idx(i, j, k+1)] - b.ws.Data[g.Idx(i, j, k-1)]) * 0.5
+	us, vs, ws := b.us.Data, b.vs.Data, b.ws.Data
+	divU := (us[idx+1] - us[idx-1] +
+		vs[idx+n] - vs[idx-n] +
+		ws[idx+n*n] - ws[idx-n*n]) * 0.5
+	f := divU + 0.05*(b.qs.Data[idx]-b.sqr.Data[idx]*b.rhoI.Data[idx])
 	var out npbcommon.Vec5
 	for c := 0; c < 5; c++ {
-		conv := (divU + 0.05*(b.qs.Data[idx]-b.sqr.Data[idx]*b.rhoI.Data[idx])) * u[idx*5+c]
+		conv := f * u[base+c]
 		// du/dt = κ·C·∇²u (damping: ∇² has non-positive eigenvalues).
 		out[c] = kappa*coupled[c] - eps*conv
 	}
@@ -233,10 +228,10 @@ func (b *BT) operatorAt(u []float64, i, j, k int) npbcommon.Vec5 {
 }
 
 // computeForcing sets forcing = −L(exact) so that rhs(exact) = 0.
+// Setup calls it while u still holds the exact field.
 func (b *BT) computeForcing() {
 	g := b.g
-	exact := make([]float64, g.Cells()*5)
-	npbcommon.FillExact(g, exact)
+	exact := b.u.Data
 	b.computeAuxInto(exact, false)
 	for i := range b.forcing.Data {
 		b.forcing.Data[i] = 0
@@ -296,16 +291,7 @@ func (b *BT) solveDim(dim int) {
 	n := g.N
 	rhs := b.rhs.Data
 	rhoI := b.rhoI.Data
-	lineAt := func(a, bb, t int) int {
-		switch dim {
-		case 0:
-			return g.Idx(t, a, bb)
-		case 1:
-			return g.Idx(a, t, bb)
-		default:
-			return g.Idx(a, bb, t)
-		}
-	}
+	first, stride := npbcommon.LineGeometry(n, dim)
 	parallel.For(b.env.ExecThreads(), n, func(_, lo, hi int) {
 		al := make([]npbcommon.IJ, n)
 		bl := make([]npbcommon.IJ, n)
@@ -313,8 +299,8 @@ func (b *BT) solveDim(dim int) {
 		d := make([]npbcommon.Vec5, n)
 		for bb := lo; bb < hi; bb++ {
 			for a := 0; a < n; a++ {
-				for t := 0; t < n; t++ {
-					idx := lineAt(a, bb, t)
+				base := first(a, bb)
+				for t, idx := 0, base; t < n; t, idx = t+1, idx+stride {
 					if t == 0 || t == n-1 {
 						al[t] = npbcommon.IJ{}
 						bl[t] = npbcommon.IJ{A: 1}
@@ -329,18 +315,13 @@ func (b *BT) solveDim(dim int) {
 						cl[t] = off
 						bl[t] = npbcommon.IJ{A: 1 + 2*kl*b.cij.A, B: 2 * kl * b.cij.B}
 					}
-					for c := 0; c < 5; c++ {
-						d[t][c] = rhs[idx*5+c]
-					}
+					d[t] = npbcommon.Vec5(rhs[idx*5 : idx*5+5])
 				}
 				if err := npbcommon.CoupledTriDiagSolve(al, bl, cl, d); err != nil {
 					panic(fmt.Sprintf("npbbt: %v", err))
 				}
-				for t := 0; t < n; t++ {
-					idx := lineAt(a, bb, t)
-					for c := 0; c < 5; c++ {
-						rhs[idx*5+c] = d[t][c]
-					}
+				for t, idx := 0, base; t < n; t, idx = t+1, idx+stride {
+					copy(rhs[idx*5:idx*5+5], d[t][:])
 				}
 			}
 		}
@@ -390,7 +371,7 @@ func (b *BT) Run(env *workloads.Env) error {
 		return fmt.Errorf("npbbt: Run before Setup")
 	}
 	b.env = env
-	b.errNorms = append(b.errNorms, npbcommon.ErrNorm(b.g, b.u.Data))
+	b.errNorms = append(b.errNorms, b.exact.ErrNorm(b.u.Data))
 	for it, iters := 0, env.Iters(b.Cfg.Iters); it < iters; it++ {
 		b.computeAuxInto(b.u.Data, true)
 		b.computeRHS()
@@ -398,7 +379,7 @@ func (b *BT) Run(env *workloads.Env) error {
 		b.solveDim(1)
 		b.solveDim(2)
 		b.add()
-		b.errNorms = append(b.errNorms, npbcommon.ErrNorm(b.g, b.u.Data))
+		b.errNorms = append(b.errNorms, b.exact.ErrNorm(b.u.Data))
 	}
 	return nil
 }

@@ -20,32 +20,33 @@ func (g Grid) Interior(i, j, k int) bool {
 	return i > 0 && i < g.N-1 && j > 0 && j < g.N-1 && k > 0 && k < g.N-1
 }
 
-// Exact is the manufactured smooth solution used by the CFD
-// pseudo-solvers (positive everywhere so 1/u₀ is safe), component c at
-// normalised coordinates x, y, z ∈ [0, 1].
-func Exact(c int, x, y, z float64) float64 {
-	fc := float64(c + 1)
-	return 2.0 + 0.3*math.Sin(math.Pi*(x+0.1*fc))*math.Cos(math.Pi*(y-0.07*fc))*math.Sin(math.Pi*(z+0.13*fc)) +
-		0.1*fc*x*y*z
-}
-
-// exactAxes caches the separable per-axis factors of Exact on an
-// N-point grid axis, so the N³ fill and verify sweeps evaluate 15·N
-// transcendentals instead of 5·N³. Every table entry and the combining
-// expression repeat Exact's operations on the same values in the same
-// order, so the results are bit-identical to calling Exact per point.
-type exactAxes struct {
-	sinX  []float64 // [i*5+c] = Sin(Pi*(x + 0.1*fc))
+// ExactField tabulates the manufactured smooth solution used by the CFD
+// pseudo-solvers on an N³ grid: component c at the normalised point
+// (x, y, z) = (i, j, k)/(N−1) is
+//
+//	2 + 0.3·sin(π(x + 0.1·fc))·cos(π(y − 0.07·fc))·sin(π(z + 0.13·fc)) + 0.1·fc·x·y·z
+//
+// with fc = c+1 (positive everywhere, so 1/u₀ is safe). The separable
+// per-axis factors are cached, so the N³ fill and error sweeps evaluate
+// 15·N transcendentals instead of 5·N³; every table entry and the
+// combining expression repeat the per-point formula's operations on the
+// same values in the same order, so the values are bit-identical to
+// evaluating it point by point.
+type ExactField struct {
+	g     Grid
+	amp   []float64 // [i*5+c] = 0.3 * Sin(Pi*(x + 0.1*fc))
 	cosY  []float64 // [j*5+c] = Cos(Pi*(y - 0.07*fc))
 	sinZ  []float64 // [k*5+c] = Sin(Pi*(z + 0.13*fc))
 	prodX []float64 // [i*5+c] = 0.1*fc*x
-	coord []float64 // [i] = i/n
+	coord []float64 // [i] = i/(N−1)
 }
 
-func newExactAxes(g Grid) *exactAxes {
+// NewExactField tabulates the exact solution's factors on grid g.
+func NewExactField(g Grid) *ExactField {
 	n := float64(g.N - 1)
-	ax := &exactAxes{
-		sinX:  make([]float64, g.N*5),
+	ax := &ExactField{
+		g:     g,
+		amp:   make([]float64, g.N*5),
 		cosY:  make([]float64, g.N*5),
 		sinZ:  make([]float64, g.N*5),
 		prodX: make([]float64, g.N*5),
@@ -56,7 +57,7 @@ func newExactAxes(g Grid) *exactAxes {
 		ax.coord[i] = v
 		for c := 0; c < 5; c++ {
 			fc := float64(c + 1)
-			ax.sinX[i*5+c] = math.Sin(math.Pi * (v + 0.1*fc))
+			ax.amp[i*5+c] = 0.3 * math.Sin(math.Pi*(v+0.1*fc))
 			ax.cosY[i*5+c] = math.Cos(math.Pi * (v - 0.07*fc))
 			ax.sinZ[i*5+c] = math.Sin(math.Pi * (v + 0.13*fc))
 			ax.prodX[i*5+c] = 0.1 * fc * v
@@ -65,15 +66,15 @@ func newExactAxes(g Grid) *exactAxes {
 	return ax
 }
 
-// at returns Exact(c, i/n, j/n, k/n) from the cached factors.
-func (ax *exactAxes) at(c, i, j, k int) float64 {
-	return 2.0 + 0.3*ax.sinX[i*5+c]*ax.cosY[j*5+c]*ax.sinZ[k*5+c] +
+// at returns the exact value of component c at cell (i, j, k).
+func (ax *ExactField) at(c, i, j, k int) float64 {
+	return 2.0 + ax.amp[i*5+c]*ax.cosY[j*5+c]*ax.sinZ[k*5+c] +
 		ax.prodX[i*5+c]*ax.coord[j]*ax.coord[k]
 }
 
-// FillExact writes the exact solution into the 5-component field u.
-func FillExact(g Grid, u []float64) {
-	ax := newExactAxes(g)
+// Fill writes the exact solution into the 5-component field u.
+func (ax *ExactField) Fill(u []float64) {
+	g := ax.g
 	for k := 0; k < g.N; k++ {
 		for j := 0; j < g.N; j++ {
 			for i := 0; i < g.N; i++ {
@@ -86,10 +87,37 @@ func FillExact(g Grid, u []float64) {
 	}
 }
 
+// Perturb adds amp·sin(w[0]·x)·sin(w[1]·y)·sin(w[2]·z) to every
+// component of the interior cells of u, with x, y, z = i, j, k over
+// (N−1). The sines are tabulated per axis and the product is formed left
+// to right, exactly as evaluating it per cell would.
+func Perturb(g Grid, u []float64, amp float64, w [3]float64) {
+	n := float64(g.N - 1)
+	var tab [3][]float64
+	for a := range tab {
+		tab[a] = make([]float64, g.N)
+		for i := range tab[a] {
+			tab[a][i] = math.Sin(w[a] * (float64(i) / n))
+		}
+	}
+	sx, sy, sz := tab[0], tab[1], tab[2]
+	for k := 1; k < g.N-1; k++ {
+		for j := 1; j < g.N-1; j++ {
+			for i := 1; i < g.N-1; i++ {
+				v := amp * sx[i] * sy[j] * sz[k]
+				idx := g.Idx(i, j, k) * 5
+				for comp := 0; comp < 5; comp++ {
+					u[idx+comp] += v
+				}
+			}
+		}
+	}
+}
+
 // ErrNorm returns the RMS difference between u and the exact solution
 // over interior cells.
-func ErrNorm(g Grid, u []float64) float64 {
-	ax := newExactAxes(g)
+func (ax *ExactField) ErrNorm(u []float64) float64 {
+	g := ax.g
 	sum := 0.0
 	cnt := 0
 	for k := 1; k < g.N-1; k++ {
@@ -110,48 +138,57 @@ func ErrNorm(g Grid, u []float64) float64 {
 	return math.Sqrt(sum / float64(cnt))
 }
 
-// stridePos returns the linear stride of dimension dim and the position
-// of (i,j,k) along it.
-func (g Grid) stridePos(i, j, k, dim int) (stride, pos int) {
+// LineGeometry returns, for the grid lines along dimension dim of an n³
+// grid, the cell index of the first point of line (a, b) and the cell
+// stride between consecutive points.
+func LineGeometry(n, dim int) (base func(a, b int) int, stride int) {
 	switch dim {
 	case 0:
-		return 1, i
+		return func(a, b int) int { return (b*n + a) * n }, 1
 	case 1:
-		return g.N, j
+		return func(a, b int) int { return b*n*n + a }, n
 	default:
-		return g.N * g.N, k
+		return func(a, b int) int { return b*n + a }, n * n
 	}
 }
 
-// Diff4 evaluates the fourth-difference operator (δ²)² of component c of
-// field u along dimension dim at (i,j,k), clamping indices at the
-// boundary (one-sided closure).
-func Diff4(g Grid, u []float64, c, i, j, k, dim int) float64 {
-	stride, pos := g.stridePos(i, j, k, dim)
-	base := g.Idx(i, j, k)*5 + c
-	s5 := stride * 5
-	if pos >= 2 && pos <= g.N-3 {
-		return u[base-2*s5] - 4*u[base-s5] + 6*u[base] - 4*u[base+s5] + u[base+2*s5]
-	}
-	at := func(o int) float64 {
-		return u[base+(clamp(pos+o, 0, g.N-1)-pos)*s5]
-	}
-	return at(-2) - 4*at(-1) + 6*at(0) - 4*at(1) + at(2)
+// Strides5 returns the element stride of one grid step along each
+// dimension of a 5-component field.
+func (g Grid) Strides5() [3]int { return [3]int{5, 5 * g.N, 5 * g.N * g.N} }
+
+// Diff2At evaluates the second-difference operator of the 5-component
+// field u at element b along the dimension of element stride s. Both
+// neighbours must lie inside the grid, which holds at every interior
+// point.
+func Diff2At(u []float64, b, s int) float64 {
+	return u[b-s] - 2*u[b] + u[b+s]
 }
 
-// Diff2 evaluates the second-difference operator of component c along
-// dimension dim (clamped at boundaries).
-func Diff2(g Grid, u []float64, c, i, j, k, dim int) float64 {
-	stride, pos := g.stridePos(i, j, k, dim)
-	base := g.Idx(i, j, k)*5 + c
-	s5 := stride * 5
-	if pos >= 1 && pos <= g.N-2 {
-		return u[base-s5] - 2*u[base] + u[base+s5]
+// Diff4Table holds, per dimension and axis position, the element offsets
+// of the four neighbours (−2, −1, +1, +2) the fourth-difference operator
+// (δ²)² reads in a 5-component field, clamped at the boundary (one-sided
+// closure). Precomputing them keeps stride selection and clamping out of
+// the sweeps.
+type Diff4Table [3][][4]int
+
+// NewDiff4Table builds the clamped neighbour offsets of grid g.
+func NewDiff4Table(g Grid) Diff4Table {
+	var t Diff4Table
+	for dim, s5 := range g.Strides5() {
+		t[dim] = make([][4]int, g.N)
+		for pos := range t[dim] {
+			for o, step := range [4]int{-2, -1, 1, 2} {
+				t[dim][pos][o] = (clamp(pos+step, 0, g.N-1) - pos) * s5
+			}
+		}
 	}
-	at := func(o int) float64 {
-		return u[base+(clamp(pos+o, 0, g.N-1)-pos)*s5]
-	}
-	return at(-1) - 2*at(0) + at(1)
+	return t
+}
+
+// Diff4At evaluates (δ²)² of the 5-component field u at element b with
+// the neighbour offsets o of the point's position along one dimension.
+func Diff4At(u []float64, b int, o *[4]int) float64 {
+	return u[b+o[0]] - 4*u[b+o[1]] + 6*u[b] - 4*u[b+o[2]] + u[b+o[3]]
 }
 
 func clamp(v, lo, hi int) int {

@@ -39,14 +39,17 @@ func AddScaled(a, b *Mat5, s float64) Mat5 {
 	return out
 }
 
-// MulVec computes m·v.
+// MulVec computes m·v, each row summed from zero in column order.
 func (m *Mat5) MulVec(v *Vec5) Vec5 {
 	var out Vec5
-	for r := 0; r < 5; r++ {
+	for r := range out {
+		row := (*[5]float64)(m[r*5 : r*5+5])
 		s := 0.0
-		for c := 0; c < 5; c++ {
-			s += m[r*5+c] * v[c]
-		}
+		s += row[0] * v[0]
+		s += row[1] * v[1]
+		s += row[2] * v[2]
+		s += row[3] * v[3]
+		s += row[4] * v[4]
 		out[r] = s
 	}
 	return out
@@ -204,9 +207,7 @@ func PentaDiagSolveVec(e, a, d, c, f []float64, rhs []Vec5) error {
 			m := e[i] / d[i-2]
 			a[i] -= m * c[i-2]
 			d[i] -= m * f[i-2]
-			for cc := 0; cc < 5; cc++ {
-				rhs[i][cc] -= m * rhs[i-2][cc]
-			}
+			subScaled(&rhs[i], m, &rhs[i-2])
 		}
 		if i >= 1 {
 			if d[i-1] == 0 {
@@ -215,27 +216,33 @@ func PentaDiagSolveVec(e, a, d, c, f []float64, rhs []Vec5) error {
 			m := a[i] / d[i-1]
 			d[i] -= m * c[i-1]
 			c[i] -= m * f[i-1]
-			for cc := 0; cc < 5; cc++ {
-				rhs[i][cc] -= m * rhs[i-1][cc]
-			}
+			subScaled(&rhs[i], m, &rhs[i-1])
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		if d[i] == 0 {
 			return fmt.Errorf("npbcommon: zero pivot at row %d", i)
 		}
-		for cc := 0; cc < 5; cc++ {
-			s := rhs[i][cc]
-			if i+1 < n {
-				s -= c[i] * rhs[i+1][cc]
-			}
-			if i+2 < n {
-				s -= f[i] * rhs[i+2][cc]
-			}
-			rhs[i][cc] = s / d[i]
+		s := rhs[i]
+		if i+1 < n {
+			subScaled(&s, c[i], &rhs[i+1])
 		}
+		if i+2 < n {
+			subScaled(&s, f[i], &rhs[i+2])
+		}
+		r, di := &rhs[i], d[i]
+		r[0], r[1], r[2], r[3], r[4] = s[0]/di, s[1]/di, s[2]/di, s[3]/di, s[4]/di
 	}
 	return nil
+}
+
+// subScaled computes r -= m·p component-wise.
+func subScaled(r *Vec5, m float64, p *Vec5) {
+	r[0] -= m * p[0]
+	r[1] -= m * p[1]
+	r[2] -= m * p[2]
+	r[3] -= m * p[3]
+	r[4] -= m * p[4]
 }
 
 // PentaDiagSolve solves the scalar penta-diagonal system with bands

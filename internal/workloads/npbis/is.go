@@ -56,6 +56,7 @@ type IS struct {
 	scan  *shim.TrackedSlice[int32] // per-thread scan workspace
 
 	sorted []int32
+	counts []int // Verify scratch: per-key balance
 	ran    bool
 
 	keyScale, histScale float64
@@ -172,7 +173,9 @@ func (s *IS) Run(env *workloads.Env) error {
 
 	// permute (full_verify in NPB): place each key at its rank — random
 	// writes across the whole output range.
-	s.sorted = make([]int32, c.RealKeys)
+	if len(s.sorted) != c.RealKeys {
+		s.sorted = make([]int32, c.RealKeys)
+	}
 	for _, k := range buff2 {
 		pos := hist[k]
 		hist[k]++
@@ -231,14 +234,30 @@ func (s *IS) Verify() error {
 	if !s.ran {
 		return fmt.Errorf("npbis: Verify before Run")
 	}
-	counts := make(map[int32]int)
-	for _, k := range s.keys.Data {
+	maxKey := int32(s.Cfg.RealMaxKey)
+	if len(s.sorted) != len(s.keys.Data) {
+		return fmt.Errorf("npbis: %d sorted keys for %d inputs", len(s.sorted), len(s.keys.Data))
+	}
+	// Dense per-key balance: +1 per input key, −1 per output key.
+	counts := s.counts
+	if len(counts) != int(maxKey) {
+		counts = make([]int, maxKey)
+		s.counts = counts
+	}
+	clear(counts)
+	for i, k := range s.keys.Data {
+		if k < 0 || k >= maxKey {
+			return fmt.Errorf("npbis: input key %d at %d outside [0, %d)", k, i, maxKey)
+		}
 		counts[k]++
 	}
 	prev := int32(-1)
 	for i, k := range s.sorted {
 		if k < prev {
 			return fmt.Errorf("npbis: output not sorted at %d: %d < %d", i, k, prev)
+		}
+		if k < 0 || k >= maxKey {
+			return fmt.Errorf("npbis: output key %d at %d outside [0, %d)", k, i, maxKey)
 		}
 		prev = k
 		counts[k]--

@@ -70,3 +70,39 @@ func TestISSetupErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestISVerifyRejects checks every failure Verify guards against: an
+// unsorted or truncated output, keys outside the range on either side,
+// and an output that is sorted but not a permutation of the input.
+func TestISVerifyRejects(t *testing.T) {
+	for name, corrupt := range map[string]func(s *IS){
+		"unsorted":          func(s *IS) { s.sorted[0], s.sorted[len(s.sorted)-1] = s.sorted[len(s.sorted)-1], s.sorted[0] },
+		"short output":      func(s *IS) { s.sorted = s.sorted[:len(s.sorted)-1] },
+		"input above range": func(s *IS) { s.keys.Data[3] = int32(s.Cfg.RealMaxKey) },
+		"negative input":    func(s *IS) { s.keys.Data[3] = -1 },
+		"output above range": func(s *IS) {
+			s.sorted[len(s.sorted)-1] = int32(s.Cfg.RealMaxKey)
+		},
+		"negative output": func(s *IS) { s.sorted[0] = -1 },
+		"not a permutation": func(s *IS) {
+			// Raise the last key of the first run to the next key: the
+			// output stays sorted but one key is counted twice.
+			i := 0
+			for s.sorted[i] == s.sorted[i+1] {
+				i++
+			}
+			s.sorted[i] = s.sorted[i+1]
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, _ := runIS(t)
+			if err := s.Verify(); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			corrupt(s)
+			if err := s.Verify(); err == nil {
+				t.Errorf("Verify accepted %s", name)
+			}
+		})
+	}
+}

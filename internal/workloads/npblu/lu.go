@@ -75,6 +75,8 @@ type LU struct {
 
 	cmat     npbcommon.Mat5
 	dinv     npbcommon.Mat5 // inverse diagonal block (constant-coefficient part)
+	exact    *npbcommon.ExactField
+	plane    []float64 // buts scratch: the pre-sweep copy of one rsd k-plane
 	env      *workloads.Env
 	errNorms []float64
 }
@@ -145,21 +147,11 @@ func (l *LU) Setup(env *workloads.Env) error {
 		return fmt.Errorf("npblu: diagonal block: %w", err)
 	}
 
-	npbcommon.FillExact(l.g, l.u.Data)
-	l.computeAux(l.u.Data)
+	l.exact = npbcommon.NewExactField(l.g)
+	l.exact.Fill(l.u.Data)
 	l.computeForcing()
-	n := float64(c.RealN - 1)
-	for k := 1; k < c.RealN-1; k++ {
-		for j := 1; j < c.RealN-1; j++ {
-			for i := 1; i < c.RealN-1; i++ {
-				idx := l.g.Idx(i, j, k) * 5
-				for comp := 0; comp < 5; comp++ {
-					x, y, z := float64(i)/n, float64(j)/n, float64(k)/n
-					l.u.Data[idx+comp] += 0.12 * math.Sin(2*math.Pi*x) * math.Sin(2*math.Pi*y) * math.Sin(3*math.Pi*z)
-				}
-			}
-		}
-	}
+	npbcommon.Perturb(l.g, l.u.Data, 0.12, [3]float64{2 * math.Pi, 2 * math.Pi, 3 * math.Pi})
+	l.plane = make([]float64, plane*5)
 	l.errNorms = l.errNorms[:0]
 	l.env = env
 	return nil
@@ -201,32 +193,33 @@ func (l *LU) emit(name string, flopsPerPt, eff float64, pts int, streams []trace
 	})
 }
 
-// applyA evaluates A·u at an interior point: (σI + κC·(−∇²))u + eps·conv.
-func (l *LU) applyA(u []float64, i, j, k int) npbcommon.Vec5 {
-	g := l.g
-	idx := g.Idx(i, j, k)
+// applyA evaluates A·u at interior cell idx: (σI + κC·(−∇²))u + eps·conv.
+func (l *LU) applyA(u []float64, idx int) npbcommon.Vec5 {
+	st := l.g.Strides5()
+	b := idx * 5
 	var lap npbcommon.Vec5
 	for c := 0; c < 5; c++ {
 		s := 0.0
-		for dim := 0; dim < 3; dim++ {
-			s += npbcommon.Diff2(g, u, c, i, j, k, dim)
-		}
+		s += npbcommon.Diff2At(u, b+c, st[0])
+		s += npbcommon.Diff2At(u, b+c, st[1])
+		s += npbcommon.Diff2At(u, b+c, st[2])
 		lap[c] = -s // −∇²: positive semi-definite
 	}
 	coupled := l.cmat.MulVec(&lap)
+	q := l.qs.Data[idx] - l.rhoI.Data[idx]
 	var out npbcommon.Vec5
 	for c := 0; c < 5; c++ {
-		conv := (l.qs.Data[idx] - l.rhoI.Data[idx]) * u[idx*5+c]
-		out[c] = sigma*u[idx*5+c] + kappa*coupled[c] + eps*conv
+		conv := q * u[b+c]
+		out[c] = sigma*u[b+c] + kappa*coupled[c] + eps*conv
 	}
 	return out
 }
 
 // computeForcing sets frct = A(exact) so exact is the steady solution.
+// Setup calls it while u still holds the exact field.
 func (l *LU) computeForcing() {
 	g := l.g
-	exact := make([]float64, g.Cells()*5)
-	npbcommon.FillExact(g, exact)
+	exact := l.u.Data
 	l.computeAux(exact)
 	for i := range l.frct.Data {
 		l.frct.Data[i] = 0
@@ -234,11 +227,9 @@ func (l *LU) computeForcing() {
 	for k := 1; k < g.N-1; k++ {
 		for j := 1; j < g.N-1; j++ {
 			for i := 1; i < g.N-1; i++ {
-				v := l.applyA(exact, i, j, k)
-				base := g.Idx(i, j, k) * 5
-				for c := 0; c < 5; c++ {
-					l.frct.Data[base+c] = v[c]
-				}
+				idx := g.Idx(i, j, k)
+				v := l.applyA(exact, idx)
+				copy(l.frct.Data[idx*5:idx*5+5], v[:])
 			}
 		}
 	}
@@ -260,7 +251,7 @@ func (l *LU) computeResid() {
 						}
 						continue
 					}
-					v := l.applyA(u, i, j, k)
+					v := l.applyA(u, g.Idx(i, j, k))
 					for c := 0; c < 5; c++ {
 						rsd[base+c] = frct[base+c] - v[c]
 					}
@@ -281,6 +272,13 @@ func (l *LU) computeResid() {
 // backward (upper) otherwise. Within each k-plane the jacobian blocks
 // are materialised into the plane workspace and then applied — the NPB
 // jacld/blts (jacu/buts) pair.
+//
+// The result does not depend on the thread count. The forward sweep is
+// Gauss–Seidel within the plane: (i, j) reads the already-relaxed
+// (i−1, j) and (i, j−1), so it runs serially in row order. The backward
+// sweep reads the in-plane neighbours (i+1, j) and (i, j+1) as they
+// were before the plane's relaxation, so it reads them from a copy of
+// the plane and relaxes all points independently.
 func (l *LU) sweep(fwd bool) {
 	g := l.g
 	n := g.N
@@ -293,20 +291,15 @@ func (l *LU) sweep(fwd bool) {
 		name = "buts"
 	}
 	jac := jacSlice.Data
-	ks := make([]int, 0, n)
-	if fwd {
-		for k := 1; k < n-1; k++ {
-			ks = append(ks, k)
+	et := l.env.ExecThreads()
+	for kk := 1; kk < n-1; kk++ {
+		k := kk
+		if !fwd {
+			k = n - 1 - kk
 		}
-	} else {
-		for k := n - 2; k >= 1; k-- {
-			ks = append(ks, k)
-		}
-	}
-	for _, k := range ks {
 		// jacld/jacu: build the per-plane diagonal blocks (spatially
 		// varying conditioning through rho_i).
-		parallel.For(l.env.ExecThreads(), n, func(_, lo, hi int) {
+		parallel.For(et, n, func(_, lo, hi int) {
 			for j := lo; j < hi; j++ {
 				for i := 0; i < n; i++ {
 					p := (j*n + i) * 25
@@ -317,38 +310,21 @@ func (l *LU) sweep(fwd bool) {
 				}
 			}
 		})
-		// blts/buts: relax the plane using already-updated neighbours in
-		// the sweep direction (chaotic within the plane across threads,
-		// which preserves convergence for this diagonally dominant A).
-		parallel.For(l.env.ExecThreads(), n-2, func(_, lo, hi int) {
-			for jj := lo; jj < hi; jj++ {
-				j := jj + 1
+		// blts/buts: relax the plane.
+		if fwd {
+			for j := 1; j < n-1; j++ {
 				for i := 1; i < n-1; i++ {
-					idx := g.Idx(i, j, k)
-					var nb npbcommon.Vec5
-					var in, jn, kn int
-					if fwd {
-						in, jn, kn = g.Idx(i-1, j, k), g.Idx(i, j-1, k), g.Idx(i, j, k-1)
-					} else {
-						in, jn, kn = g.Idx(i+1, j, k), g.Idx(i, j+1, k), g.Idx(i, j, k+1)
-					}
-					for c := 0; c < 5; c++ {
-						nb[c] = rsd[in*5+c] + rsd[jn*5+c] + rsd[kn*5+c]
-					}
-					// L (or U) off-diagonal blocks are −κC.
-					cnb := l.cmat.MulVec(&nb)
-					var v npbcommon.Vec5
-					for c := 0; c < 5; c++ {
-						v[c] = rsd[idx*5+c] + kappa*cnb[c]*0.5
-					}
-					// Apply the plane jacobian (scaled D⁻¹).
-					p := (j*n + i) * 25
-					var blk npbcommon.Mat5
-					copy(blk[:], jac[p:p+25])
-					res := blk.MulVec(&v)
-					for c := 0; c < 5; c++ {
-						rsd[idx*5+c] = res[c]
-					}
+					l.relax(rsd, 0, jac, i, j, k, true)
+				}
+			}
+			continue
+		}
+		pb := k * n * n * 5
+		copy(l.plane, rsd[pb:pb+n*n*5])
+		parallel.For(et, n-2, func(_, lo, hi int) {
+			for j := lo + 1; j < hi+1; j++ {
+				for i := 1; i < n-1; i++ {
+					l.relax(l.plane, pb, jac, i, j, k, false)
 				}
 			}
 		})
@@ -364,6 +340,38 @@ func (l *LU) sweep(fwd bool) {
 		l.st(l.rhoI, cells, trace.Read),
 		{Alloc: jacSlice.ID(), Bytes: 2 * simPlane, Kind: trace.Update, Pattern: trace.Stencil},
 	})
+}
+
+// relax applies one block relaxation at interior point (i, j, k). The
+// neighbours (i∓1, j) and (i, j∓1) in the sweep's upstream direction
+// are read from nb, which holds rsd's elements from offset nbBase on
+// (rsd itself, or the pre-sweep plane copy); (i, j, k∓1) comes from rsd.
+func (l *LU) relax(nb []float64, nbBase int, jac []float64, i, j, k int, fwd bool) {
+	g := l.g
+	n := g.N
+	rsd := l.rsd.Data
+	idx := g.Idx(i, j, k)
+	var in, jn, kn int
+	if fwd {
+		in, jn, kn = idx-1, idx-n, idx-n*n
+	} else {
+		in, jn, kn = idx+1, idx+n, idx+n*n
+	}
+	in, jn = in*5-nbBase, jn*5-nbBase
+	var s npbcommon.Vec5
+	for c := 0; c < 5; c++ {
+		s[c] = nb[in+c] + nb[jn+c] + rsd[kn*5+c]
+	}
+	// L (or U) off-diagonal blocks are −κC.
+	cnb := l.cmat.MulVec(&s)
+	var v npbcommon.Vec5
+	for c := 0; c < 5; c++ {
+		v[c] = rsd[idx*5+c] + kappa*cnb[c]*0.5
+	}
+	// Apply the plane jacobian (scaled D⁻¹).
+	p := (j*n + i) * 25
+	res := (*npbcommon.Mat5)(jac[p : p+25]).MulVec(&v)
+	copy(rsd[idx*5:idx*5+5], res[:])
 }
 
 // add applies u += ω·rsd on the interior.
@@ -398,13 +406,13 @@ func (l *LU) Run(env *workloads.Env) error {
 		return fmt.Errorf("npblu: Run before Setup")
 	}
 	l.env = env
-	l.errNorms = append(l.errNorms, npbcommon.ErrNorm(l.g, l.u.Data))
+	l.errNorms = append(l.errNorms, l.exact.ErrNorm(l.u.Data))
 	for it, iters := 0, env.Iters(l.Cfg.Iters); it < iters; it++ {
 		l.computeResid()
 		l.sweep(true)
 		l.sweep(false)
 		l.add()
-		l.errNorms = append(l.errNorms, npbcommon.ErrNorm(l.g, l.u.Data))
+		l.errNorms = append(l.errNorms, l.exact.ErrNorm(l.u.Data))
 	}
 	return nil
 }

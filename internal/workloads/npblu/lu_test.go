@@ -1,6 +1,7 @@
 package npblu
 
 import (
+	"math"
 	"testing"
 
 	"hmpt/internal/workloads"
@@ -74,6 +75,38 @@ func TestLUSetupErrors(t *testing.T) {
 		l := &LU{Cfg: cfg}
 		if err := l.Setup(env); err == nil {
 			t.Errorf("Setup(%+v) should fail", cfg)
+		}
+	}
+}
+
+// TestLUSweepsThreadIndependent checks that the SSOR sweeps leave
+// bit-identical state at every thread count: the backward sweep's plane
+// copy reproduces the one-thread Gauss–Seidel order.
+func TestLUSweepsThreadIndependent(t *testing.T) {
+	run := func(threads int) *LU {
+		l := &LU{Cfg: Config{RealN: 16, PaperN: 408, Iters: 3}}
+		env := workloads.NewEnv(threads, 1, 5)
+		if err := l.Setup(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Run(env); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	ref := run(1)
+	for _, threads := range []int{2, 3, 4} {
+		got := run(threads)
+		for name, pair := range map[string][2][]float64{
+			"u": {ref.u.Data, got.u.Data}, "rsd": {ref.rsd.Data, got.rsd.Data},
+			"jac_l": {ref.jacL.Data, got.jacL.Data}, "jac_u": {ref.jacU.Data, got.jacU.Data},
+			"err norms": {ref.errNorms, got.errNorms},
+		} {
+			for i := range pair[0] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("%d threads: %s[%d] = %v, one thread %v", threads, name, i, pair[1][i], pair[0][i])
+				}
+			}
 		}
 	}
 }

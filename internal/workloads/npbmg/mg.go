@@ -187,16 +187,7 @@ func (m *MG) resid(u, rhs, out []float64, l int) {
 	n := m.n[l]
 	et := m.env.ExecThreads()
 	parallel.For(et, n, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			km, kp := (k-1+n)%n, (k+1)%n
-			for j := 0; j < n; j++ {
-				jm, jp := (j-1+n)%n, (j+1)%n
-				for i := 0; i < n; i++ {
-					im, ip := (i-1+n)%n, (i+1)%n
-					out[idx(n, i, j, k)] = rhs[idx(n, i, j, k)] - stencil27(u, n, i, j, k, im, ip, jm, jp, km, kp, &aCoef)
-				}
-			}
-		}
+		stencil27(u, rhs, out, n, lo, hi, &aCoef)
 	})
 	pts := n * n * n
 	bytes := units.Bytes(pts * 8)
@@ -221,16 +212,7 @@ func (m *MG) psinv(r, u []float64, l int) {
 	n := m.n[l]
 	et := m.env.ExecThreads()
 	parallel.For(et, n, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			km, kp := (k-1+n)%n, (k+1)%n
-			for j := 0; j < n; j++ {
-				jm, jp := (j-1+n)%n, (j+1)%n
-				for i := 0; i < n; i++ {
-					im, ip := (i-1+n)%n, (i+1)%n
-					u[idx(n, i, j, k)] += stencil27(r, n, i, j, k, im, ip, jm, jp, km, kp, &cCoef)
-				}
-			}
-		}
+		stencil27(r, nil, u, n, lo, hi, &cCoef)
 	})
 	pts := n * n * n
 	bytes := units.Bytes(pts * 8)
@@ -240,20 +222,68 @@ func (m *MG) psinv(r, u []float64, l int) {
 	))
 }
 
-// stencil27 evaluates the class-weighted 27-point stencil at (i,j,k).
-func stencil27(a []float64, n, i, j, k, im, ip, jm, jp, km, kp int, w *[4]float64) float64 {
-	// Distance-1 (faces).
-	faces := a[idx(n, im, j, k)] + a[idx(n, ip, j, k)] +
-		a[idx(n, i, jm, k)] + a[idx(n, i, jp, k)] +
-		a[idx(n, i, j, km)] + a[idx(n, i, j, kp)]
-	// Distance-2 (edges).
-	edges := a[idx(n, im, jm, k)] + a[idx(n, im, jp, k)] + a[idx(n, ip, jm, k)] + a[idx(n, ip, jp, k)] +
-		a[idx(n, im, j, km)] + a[idx(n, im, j, kp)] + a[idx(n, ip, j, km)] + a[idx(n, ip, j, kp)] +
-		a[idx(n, i, jm, km)] + a[idx(n, i, jm, kp)] + a[idx(n, i, jp, km)] + a[idx(n, i, jp, kp)]
-	// Distance-3 (corners).
-	corners := a[idx(n, im, jm, km)] + a[idx(n, im, jm, kp)] + a[idx(n, im, jp, km)] + a[idx(n, im, jp, kp)] +
-		a[idx(n, ip, jm, km)] + a[idx(n, ip, jm, kp)] + a[idx(n, ip, jp, km)] + a[idx(n, ip, jp, kp)]
-	return w[0]*a[idx(n, i, j, k)] + w[1]*faces + w[2]*edges + w[3]*corners
+// stencil27 evaluates the class-weighted 27-point stencil S of a over
+// the k-planes [lo, hi) of a periodic n³ level. With rhs non-nil it
+// stores rhs − S(a) into out (resid; rhs may alias out); with rhs nil it
+// adds S(a) into out (psinv). Each point sums its faces, edges and
+// corners in a fixed neighbour order, reading the nine (j±1, k±1) rows
+// it touches through precomputed row slices.
+func stencil27(a, rhs, out []float64, n, lo, hi int, w *[4]float64) {
+	row := func(j, k int) []float64 {
+		b := (k*n + j) * n
+		return a[b : b+n : b+n]
+	}
+	for k := lo; k < hi; k++ {
+		km, kp := wrap(k-1, n), wrap(k+1, n)
+		for j := 0; j < n; j++ {
+			jm, jp := wrap(j-1, n), wrap(j+1, n)
+			// Rows named by their (j, k) offsets: c = 0, m = −1, p = +1.
+			cc, mc, pc := row(j, k), row(jm, k), row(jp, k)
+			cm, cp := row(j, km), row(j, kp)
+			mm, mp, pm, pp := row(jm, km), row(jm, kp), row(jp, km), row(jp, kp)
+			b := (k*n + j) * n
+			o := out[b : b+n : b+n]
+			var f []float64
+			if rhs != nil {
+				f = rhs[b : b+n : b+n]
+			}
+			for i := 0; i < n; i++ {
+				im, ip := i-1, i+1
+				if i == 0 {
+					im = n - 1
+				}
+				if ip == n {
+					ip = 0
+				}
+				// Distance-1 (faces).
+				faces := cc[im] + cc[ip] + mc[i] + pc[i] + cm[i] + cp[i]
+				// Distance-2 (edges).
+				edges := mc[im] + pc[im] + mc[ip] + pc[ip] +
+					cm[im] + cp[im] + cm[ip] + cp[ip] +
+					mm[i] + mp[i] + pm[i] + pp[i]
+				// Distance-3 (corners).
+				corners := mm[im] + mp[im] + pm[im] + pp[im] + mm[ip] + mp[ip] + pm[ip] + pp[ip]
+				v := w[0]*cc[i] + w[1]*faces + w[2]*edges + w[3]*corners
+				if f != nil {
+					o[i] = f[i] - v
+				} else {
+					o[i] += v
+				}
+			}
+		}
+	}
+}
+
+// wrap folds a neighbour coordinate in [-1, n] onto the periodic
+// range [0, n).
+func wrap(v, n int) int {
+	switch {
+	case v < 0:
+		return v + n
+	case v >= n:
+		return v - n
+	}
+	return v
 }
 
 func idx(n, i, j, k int) int { return (k*n+j)*n + i }
@@ -267,13 +297,13 @@ func (m *MG) rprj3(l int) {
 	parallel.For(et, nc, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			k2 := 2 * k
-			km, kp := (k2-1+nf)%nf, (k2+1)%nf
+			km, kp := wrap(k2-1, nf), wrap(k2+1, nf)
 			for j := 0; j < nc; j++ {
 				j2 := 2 * j
-				jm, jp := (j2-1+nf)%nf, (j2+1)%nf
+				jm, jp := wrap(j2-1, nf), wrap(j2+1, nf)
 				for i := 0; i < nc; i++ {
 					i2 := 2 * i
-					im, ip := (i2-1+nf)%nf, (i2+1)%nf
+					im, ip := wrap(i2-1, nf), wrap(i2+1, nf)
 					rc[idx(nc, i, j, k)] = 0.5*rf[idx(nf, i2, j2, k2)] +
 						0.25*(rf[idx(nf, im, j2, k2)]+rf[idx(nf, ip, j2, k2)]+
 							rf[idx(nf, i2, jm, k2)]+rf[idx(nf, i2, jp, k2)]+
@@ -298,13 +328,13 @@ func (m *MG) interp(l int) {
 	parallel.For(et, nf, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			kc, ko := k/2, k&1
-			kp := (k/2 + ko) % nc
+			kp := wrap(kc+ko, nc)
 			for j := 0; j < nf; j++ {
 				jc, jo := j/2, j&1
-				jp := (j/2 + jo) % nc
+				jp := wrap(jc+jo, nc)
 				for i := 0; i < nf; i++ {
 					ic, io := i/2, i&1
-					ip := (i/2 + io) % nc
+					ip := wrap(ic+io, nc)
 					// Trilinear: average the 2^odd-dims surrounding
 					// coarse points (even coordinates inject directly).
 					sum := uc[idx(nc, ic, jc, kc)] + uc[idx(nc, ip, jc, kc)] +

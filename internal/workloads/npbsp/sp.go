@@ -68,6 +68,9 @@ type SP struct {
 	u, rhs, forcing                   *shim.TrackedSlice[float64]
 	us, vs, ws, qs, rhoI, speed, sqre *shim.TrackedSlice[float64]
 
+	exact *npbcommon.ExactField
+	d4    npbcommon.Diff4Table
+
 	env      *workloads.Env
 	errNorms []float64
 }
@@ -114,22 +117,13 @@ func (s *SP) Setup(env *workloads.Env) error {
 	s.speed = shim.Alloc[float64](env.Alloc, "sp.speed", cells, s.scale)
 	s.sqre = shim.Alloc[float64](env.Alloc, "sp.square", cells, s.scale)
 
+	s.d4 = npbcommon.NewDiff4Table(s.g)
+
 	// u = exact + interior perturbation; forcing makes exact stationary.
-	npbcommon.FillExact(s.g, s.u.Data)
-	s.computeAuxInto(s.u.Data, false)
+	s.exact = npbcommon.NewExactField(s.g)
+	s.exact.Fill(s.u.Data)
 	s.computeForcing()
-	n := float64(c.RealN - 1)
-	for k := 1; k < c.RealN-1; k++ {
-		for j := 1; j < c.RealN-1; j++ {
-			for i := 1; i < c.RealN-1; i++ {
-				idx := s.g.Idx(i, j, k) * 5
-				for comp := 0; comp < 5; comp++ {
-					x, y, z := float64(i)/n, float64(j)/n, float64(k)/n
-					s.u.Data[idx+comp] += 0.15 * math.Sin(3*math.Pi*x) * math.Sin(2*math.Pi*y) * math.Sin(math.Pi*z)
-				}
-			}
-		}
-	}
+	npbcommon.Perturb(s.g, s.u.Data, 0.15, [3]float64{3 * math.Pi, 2 * math.Pi, math.Pi})
 	s.errNorms = s.errNorms[:0]
 	s.env = env
 	return nil
@@ -194,59 +188,66 @@ func (s *SP) emit(name string, flopsPerPt, eff float64, pts int, streams []trace
 	})
 }
 
-// rhsAt evaluates the explicit operator at one interior point: forcing −
-// diffusion − convection. The aux arrays must be current for u.
-func (s *SP) rhsAt(u []float64, i, j, k, comp int) float64 {
+// terms evaluates the parts of the explicit operator at interior cell
+// (i, j, k): the summed fourth differences of each component of u into
+// diff, and the convective factor divU + 0.05·(qs − ρ⁻¹) it returns. The
+// aux arrays must be current for u.
+func (s *SP) terms(u []float64, i, j, k int, diff *npbcommon.Vec5) float64 {
 	g := s.g
+	n := g.N
 	idx := g.Idx(i, j, k)
-	diff := 0.0
-	for dim := 0; dim < 3; dim++ {
-		diff += npbcommon.Diff4(g, u, comp, i, j, k, dim)
+	b := idx * 5
+	ox, oy, oz := &s.d4[0][i], &s.d4[1][j], &s.d4[2][k]
+	for comp := 0; comp < 5; comp++ {
+		d := 0.0
+		d += npbcommon.Diff4At(u, b+comp, ox)
+		d += npbcommon.Diff4At(u, b+comp, oy)
+		d += npbcommon.Diff4At(u, b+comp, oz)
+		diff[comp] = d
 	}
-	divU := (s.us.Data[g.Idx(i+1, j, k)] - s.us.Data[g.Idx(i-1, j, k)] +
-		s.vs.Data[g.Idx(i, j+1, k)] - s.vs.Data[g.Idx(i, j-1, k)] +
-		s.ws.Data[g.Idx(i, j, k+1)] - s.ws.Data[g.Idx(i, j, k-1)]) * 0.5
-	conv := (divU + 0.05*(s.qs.Data[idx]-s.rhoI.Data[idx])) * u[idx*5+comp]
-	return s.forcing.Data[idx*5+comp] - kappa*diff - eps*conv
+	us, vs, ws := s.us.Data, s.vs.Data, s.ws.Data
+	divU := (us[idx+1] - us[idx-1] +
+		vs[idx+n] - vs[idx-n] +
+		ws[idx+n*n] - ws[idx-n*n]) * 0.5
+	return divU + 0.05*(s.qs.Data[idx]-s.rhoI.Data[idx])
 }
 
 // computeForcing makes the exact field a fixed point: forcing = L(exact)
 // evaluated with the same discrete operator (aux arrays from exact).
+// Setup calls it while u still holds the exact field.
 func (s *SP) computeForcing() {
 	g := s.g
-	exact := make([]float64, g.Cells()*5)
-	npbcommon.FillExact(g, exact)
+	exact := s.u.Data
 	s.computeAuxInto(exact, false)
-	for i := range s.forcing.Data {
-		s.forcing.Data[i] = 0
+	forcing := s.forcing.Data
+	for i := range forcing {
+		forcing[i] = 0
 	}
+	var diff npbcommon.Vec5
 	for k := 1; k < g.N-1; k++ {
 		for j := 1; j < g.N-1; j++ {
 			for i := 1; i < g.N-1; i++ {
+				// forcing such that the explicit operator of exact is 0.
+				f := s.terms(exact, i, j, k, &diff)
+				b := g.Idx(i, j, k) * 5
 				for comp := 0; comp < 5; comp++ {
-					// forcing such that rhsAt(exact) == 0.
-					idx := g.Idx(i, j, k)
-					diff := 0.0
-					for dim := 0; dim < 3; dim++ {
-						diff += npbcommon.Diff4(g, exact, comp, i, j, k, dim)
-					}
-					divU := (s.us.Data[g.Idx(i+1, j, k)] - s.us.Data[g.Idx(i-1, j, k)] +
-						s.vs.Data[g.Idx(i, j+1, k)] - s.vs.Data[g.Idx(i, j-1, k)] +
-						s.ws.Data[g.Idx(i, j, k+1)] - s.ws.Data[g.Idx(i, j, k-1)]) * 0.5
-					conv := (divU + 0.05*(s.qs.Data[idx]-s.rhoI.Data[idx])) * exact[idx*5+comp]
-					s.forcing.Data[idx*5+comp] = kappa*diff + eps*conv
+					conv := f * exact[b+comp]
+					forcing[b+comp] = kappa*diff[comp] + eps*conv
 				}
 			}
 		}
 	}
 }
 
-// computeRHS fills rhs = dt · L(u) on the interior and emits the phase.
+// computeRHS fills rhs = dt · L(u) on the interior, where L(u) = forcing
+// − diffusion − convection, and emits the phase.
 func (s *SP) computeRHS() {
 	g := s.g
 	u := s.u.Data
 	rhs := s.rhs.Data
+	forcing := s.forcing.Data
 	parallel.For(s.env.ExecThreads(), g.N, func(_, lo, hi int) {
+		var diff npbcommon.Vec5
 		for k := lo; k < hi; k++ {
 			for j := 0; j < g.N; j++ {
 				for i := 0; i < g.N; i++ {
@@ -257,8 +258,10 @@ func (s *SP) computeRHS() {
 						}
 						continue
 					}
+					f := s.terms(u, i, j, k, &diff)
 					for comp := 0; comp < 5; comp++ {
-						rhs[b+comp] = dt * s.rhsAt(u, i, j, k, comp)
+						conv := f * u[b+comp]
+						rhs[b+comp] = dt * (forcing[b+comp] - kappa*diff[comp] - eps*conv)
 					}
 				}
 			}
@@ -283,16 +286,7 @@ func (s *SP) solveDim(dim int) {
 	n := g.N
 	rhs := s.rhs.Data
 	speed := s.speed.Data
-	lineAt := func(dim, a, b, t int) int {
-		switch dim {
-		case 0:
-			return g.Idx(t, a, b)
-		case 1:
-			return g.Idx(a, t, b)
-		default:
-			return g.Idx(a, b, t)
-		}
-	}
+	base, stride := npbcommon.LineGeometry(n, dim)
 	parallel.For(s.env.ExecThreads(), n, func(_, lo, hi int) {
 		e := make([]float64, n)
 		as := make([]float64, n)
@@ -305,8 +299,8 @@ func (s *SP) solveDim(dim int) {
 				// The bands depend only on the grid point, not the
 				// component: build and factor them once per line and
 				// carry all five components as one multi-RHS solve.
-				for t := 0; t < n; t++ {
-					idx := lineAt(dim, a, b, t)
+				first := base(a, b)
+				for t, idx := 0, first; t < n; t, idx = t+1, idx+stride {
 					if t == 0 || t == n-1 {
 						// Dirichlet boundary rows: identity.
 						e[t], as[t], d[t], c[t], f[t] = 0, 0, 1, 0, 0
@@ -323,18 +317,13 @@ func (s *SP) solveDim(dim int) {
 							d[t] += kl
 						}
 					}
-					for comp := 0; comp < 5; comp++ {
-						line[t][comp] = rhs[idx*5+comp]
-					}
+					line[t] = npbcommon.Vec5(rhs[idx*5 : idx*5+5])
 				}
 				if err := npbcommon.PentaDiagSolveVec(e, as, d, c, f, line); err != nil {
 					panic(fmt.Sprintf("npbsp: %v", err)) // singular only on programming error
 				}
-				for t := 0; t < n; t++ {
-					idx := lineAt(dim, a, b, t)
-					for comp := 0; comp < 5; comp++ {
-						rhs[idx*5+comp] = line[t][comp]
-					}
+				for t, idx := 0, first; t < n; t, idx = t+1, idx+stride {
+					copy(rhs[idx*5:idx*5+5], line[t][:])
 				}
 			}
 		}
@@ -383,7 +372,7 @@ func (s *SP) Run(env *workloads.Env) error {
 		return fmt.Errorf("npbsp: Run before Setup")
 	}
 	s.env = env
-	s.errNorms = append(s.errNorms, npbcommon.ErrNorm(s.g, s.u.Data))
+	s.errNorms = append(s.errNorms, s.exact.ErrNorm(s.u.Data))
 	for it, iters := 0, env.Iters(s.Cfg.Iters); it < iters; it++ {
 		s.computeAuxInto(s.u.Data, true)
 		s.computeRHS()
@@ -391,7 +380,7 @@ func (s *SP) Run(env *workloads.Env) error {
 		s.solveDim(1)
 		s.solveDim(2)
 		s.add()
-		s.errNorms = append(s.errNorms, npbcommon.ErrNorm(s.g, s.u.Data))
+		s.errNorms = append(s.errNorms, s.exact.ErrNorm(s.u.Data))
 	}
 	return nil
 }

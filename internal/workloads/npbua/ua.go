@@ -121,16 +121,29 @@ func (w *UA) Setup(env *workloads.Env) error {
 		// Random regular graph: each element's neighbours are a random
 		// permutation-derived set (gather indirection, no locality).
 		perm := env.RNG.Perm(n)
-		for i := 0; i < n; i++ {
-			for d := 0; d < c.Degree; d++ {
-				reg.idx.Data[i*c.Degree+d] = int64(perm[(i+d*7919+1)%n])
+		for d := 0; d < c.Degree; d++ {
+			// Neighbour d of element i is perm[(i + d·7919 + 1) mod n].
+			j := (d*7919 + 1) % n
+			for i := 0; i < n; i++ {
+				reg.idx.Data[i*c.Degree+d] = int64(perm[j])
+				if j++; j == n {
+					j = 0
+				}
 			}
 		}
 		for i := 0; i < n; i++ {
-			reg.coord.Data[i] = float64(i) / float64(n)
 			reg.mass.Data[i] = 1 + 0.5*env.RNG.Float64()
-			reg.rhs.Data[i] = math.Sin(2 * math.Pi * reg.coord.Data[i])
-			reg.u.Data[i] = 0
+		}
+		// Coordinates and the right-hand side depend on the element
+		// index alone: every region after the first copies them.
+		if r == 0 {
+			for i := 0; i < n; i++ {
+				reg.coord.Data[i] = float64(i) / float64(n)
+				reg.rhs.Data[i] = math.Sin(2 * math.Pi * reg.coord.Data[i])
+			}
+		} else {
+			copy(reg.coord.Data, w.regions[0].coord.Data)
+			copy(reg.rhs.Data, w.regions[0].rhs.Data)
 		}
 		w.regions = append(w.regions, reg)
 	}

@@ -1,17 +1,24 @@
 package workloads
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
+// dupSeq gives each run of TestRegistryDuplicatePanics its own name in
+// the process-wide registry, so the test repeats under -count and -cpu.
+var dupSeq atomic.Int64
+
 func TestRegistryDuplicatePanics(t *testing.T) {
-	Register("registry_test.unique", "test entry", nil)
+	name := fmt.Sprintf("registry_test.unique.%d", dupSeq.Add(1))
+	Register(name, "test entry", nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration should panic")
 		}
 	}()
-	Register("registry_test.unique", "again", nil)
+	Register(name, "again", nil)
 }
 
 func TestNewUnknown(t *testing.T) {

@@ -131,3 +131,16 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 		t.Errorf("shuffle changed multiset: sum %d != %d", got, sum)
 	}
 }
+
+// TestIntnIsModulo pins Intn to the residue of the next Uint64 for
+// power-of-two and other bounds alike.
+func TestIntnIsModulo(t *testing.T) {
+	a, b := New(21), New(21)
+	for _, n := range []int{1, 2, 3, 7, 8, 1000, 1024, 1 << 20, 1<<20 + 1} {
+		for i := 0; i < 100; i++ {
+			if got, want := a.Intn(n), int(b.Uint64()%uint64(n)); got != want {
+				t.Fatalf("Intn(%d) = %d, Uint64 mod n = %d", n, got, want)
+			}
+		}
+	}
+}
