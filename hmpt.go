@@ -177,9 +177,9 @@ func CollectCaches(opts CacheGCOptions) (*CacheGCReport, error) { return cachegc
 var ErrCacheDegraded = fsatomic.ErrDegraded
 
 // ShardLeaseReclaims returns the number of expired shard work leases
-// this process has torn down and taken over from dead or stalled
-// peers — each one a crash the sharded-campaign fleet absorbed. See
-// internal/shard and `hmpt campaign -shard-dir`.
+// this process has taken over from dead or stalled peers by claiming
+// the next lease generation — each one a crash the sharded-campaign
+// fleet absorbed. See internal/shard and `hmpt campaign -shard-dir`.
 func ShardLeaseReclaims() int64 { return shard.LeasesReclaimed() }
 
 // ShardJournalSkips returns the number of campaign cells this process

@@ -27,16 +27,16 @@ var (
 // LeasesAcquired counts successful lease claims (fresh and reclaimed).
 func LeasesAcquired() int64 { return leasesAcquired.Load() }
 
-// LeasesReclaimed counts expired leases torn down and re-claimed from a
-// dead or stalled holder — each one is a crash (or a stall past TTL)
-// the fleet absorbed.
+// LeasesReclaimed counts expired leases taken over from a dead or
+// stalled holder by claiming the next generation — each one is a crash
+// (or a stall past TTL) the fleet absorbed.
 func LeasesReclaimed() int64 { return leasesReclaimed.Load() }
 
 // LeaseRenewals counts heartbeat renewals.
 func LeaseRenewals() int64 { return leaseRenewals.Load() }
 
 // LeasesLost counts leases a holder discovered it no longer owned at
-// renewal or release time (reclaimed out from under it). The holder
+// renewal time (reclaimed out from under it). The holder
 // finishes its cell anyway — execution is idempotent — but stops
 // renewing.
 func LeasesLost() int64 { return leasesLost.Load() }

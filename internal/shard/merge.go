@@ -36,7 +36,7 @@ type Merged struct {
 	// Quarantined is the structured partial-failure report.
 	Quarantined []QuarantinedCell
 	// StaleLeases and StaleStaging count the coordination-tree files the
-	// merge swept: leftover lease/tomb files and fsatomic staging
+	// merge swept: leftover lease generations and fsatomic staging
 	// residue from killed workers.
 	StaleLeases  int
 	StaleStaging int
@@ -64,10 +64,7 @@ func Merge(dir string, fs faultfs.FS) (*Merged, error) {
 	}
 	cells := enumerate(m)
 	j := &journal{fs: fs, dir: filepath.Join(dir, journalDir), manifest: man.ID}
-	at := &attempts{
-		fs: fs, failDir: filepath.Join(dir, failDir), quarDir: filepath.Join(dir, quarantineDir),
-		manifest: man.ID,
-	}
+	at := &attempts{fs: fs, quarDir: filepath.Join(dir, quarantineDir), manifest: man.ID}
 
 	out := &Merged{Result: &campaign.Result{}, Complete: true}
 	for _, ref := range cells {

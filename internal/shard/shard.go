@@ -6,8 +6,9 @@
 // and the matrix is rebuilt *identically* in every worker process from
 // that manifest, so cell indices, cache keys and enumeration order agree
 // across the fleet by construction. Workers then claim cells through
-// lease files (atomic create-if-absent via link(2), heartbeat-renewed,
-// TTL-expired), execute each claimed cell on a normal campaign engine,
+// lease files, one generation per attempt (atomic create-if-absent via
+// link(2), heartbeat-renewed, TTL-expired, and carrying the attempt's
+// outcome), execute each claimed cell on a normal campaign engine,
 // and record completion in a per-cell journal whose records are sealed
 // with the analysis wire codec: a torn or half-written record fails its
 // checksum and reads as *incomplete*, never as falsely done.
@@ -87,7 +88,6 @@ const (
 	manifestName  = "manifest.json"
 	leaseDir      = "leases"
 	journalDir    = "journal"
-	failDir       = "fails"
 	quarantineDir = "quarantine"
 	reportDir     = "reports"
 )
@@ -120,7 +120,7 @@ func Plan(dir string, spec experiments.CampaignSpec) (*Manifest, error) {
 	}
 	man := &Manifest{Schema: ManifestSchema, Spec: spec, Cells: cells, ID: id}
 
-	for _, sub := range []string{leaseDir, journalDir, failDir, quarantineDir, reportDir} {
+	for _, sub := range []string{leaseDir, journalDir, quarantineDir, reportDir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("shard: planning: %w", err)
 		}

@@ -88,7 +88,7 @@ func requireByteIdentical(t *testing.T, single, merged *campaign.Result) {
 }
 
 // requireNoCoordinationLitter asserts the shard dir holds no lease
-// files, reclaim tombs or fsatomic staging residue.
+// generations or fsatomic staging residue.
 func requireNoCoordinationLitter(t *testing.T, dir string) {
 	t.Helper()
 	leases, err := os.ReadDir(filepath.Join(dir, leaseDir))
@@ -327,6 +327,63 @@ func TestResumeRecomputesNothing(t *testing.T) {
 	if d := core.KernelExecutions() - kernelsBefore; d != 0 {
 		t.Fatalf("resume ran %d kernels; journaled-complete cells must recompute nothing", d)
 	}
+
+	// A cell a peer journals between a worker's journal check and its
+	// lease claim is a journal hit too, not a second execution: in a
+	// fresh shard dir cell 1 starts journaled, and cell 0's record (from
+	// the completed campaign above, same manifest) lands just before the
+	// worker's claim of it does.
+	late := t.TempDir()
+	if _, err := Plan(late, spec); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	done := &journal{dir: filepath.Join(dir, journalDir)}
+	lateJournal := &journal{dir: filepath.Join(late, journalDir)}
+	copyRecord := func(cell int) {
+		raw, err := os.ReadFile(done.path(cell))
+		if err == nil {
+			err = os.WriteFile(lateJournal.path(cell), raw, 0o644)
+		}
+		if err != nil {
+			t.Errorf("copying cell %d's journal record: %v", cell, err)
+		}
+	}
+	copyRecord(1)
+	opts := workerOpts("late")
+	opts.FS = linkHookFS{FS: faultfs.OS, onLink: func(newpath string) {
+		if filepath.Base(newpath) == cellName(0)+".lease.1" {
+			copyRecord(0)
+		}
+	}}
+	w3, err := NewWorker(late, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernelsBefore = core.KernelExecutions()
+	sum, err = w3.Run(context.Background())
+	if err != nil {
+		t.Fatalf("late worker: %v", err)
+	}
+	if sum.Executed != 0 || sum.JournalHits != cells {
+		t.Fatalf("cell journaled during the claim: executed %d, journal hits %d; want 0 and %d",
+			sum.Executed, sum.JournalHits, cells)
+	}
+	if d := core.KernelExecutions() - kernelsBefore; d != 0 {
+		t.Fatalf("cell journaled during the claim ran %d kernels; want 0", d)
+	}
+	requireNoCoordinationLitter(t, late)
+}
+
+// linkHookFS calls onLink before every hard link, which in a shard dir
+// is a lease claim: a peer acting at the instant the claim lands.
+type linkHookFS struct {
+	faultfs.FS
+	onLink func(newpath string)
+}
+
+func (f linkHookFS) Link(oldpath, newpath string) error {
+	f.onLink(newpath)
+	return f.FS.Link(oldpath, newpath)
 }
 
 // TestTornJournalRecordReadsIncomplete pins the journal's failure
@@ -396,6 +453,15 @@ func flipByte(raw []byte, i int) []byte {
 	return out
 }
 
+// acquire scans the cell and claims the generation after that scan.
+func acquire(lm *leaseManager, cell int) (*lease, error) {
+	s, err := lm.scan(cell)
+	if err != nil {
+		return nil, err
+	}
+	return lm.claim(cell, s)
+}
+
 // TestLeaseClaimRaceExactlyOneWinner races two workers on one
 // unclaimed lease, repeatedly, under -race.
 func TestLeaseClaimRaceExactlyOneWinner(t *testing.T) {
@@ -412,7 +478,7 @@ func TestLeaseClaimRaceExactlyOneWinner(t *testing.T) {
 			go func(i int, lm *leaseManager) {
 				defer wg.Done()
 				<-start
-				leases[i], errs[i] = lm.tryAcquire(0)
+				leases[i], errs[i] = acquire(lm, 0)
 			}(i, lm)
 		}
 		close(start)
@@ -433,6 +499,20 @@ func TestLeaseClaimRaceExactlyOneWinner(t *testing.T) {
 			leases[1].release()
 		}
 	}
+
+	// A generation whose release never published stays live to peers
+	// until it expires, but does not block its own owner's next claim.
+	if l, err := acquire(a, 0); err != nil || l == nil {
+		t.Fatalf("uncontended claim: %v", err)
+	}
+	if l, err := acquire(b, 0); err != nil || l != nil {
+		t.Fatalf("peer claim over a live lease: lease %v, err %v; want it to lose", l != nil, err)
+	}
+	again, err := acquire(a, 0)
+	if err != nil || again == nil {
+		t.Fatalf("owner blocked by its own unreleased generation: %v", err)
+	}
+	again.release()
 }
 
 // TestExpiredLeaseReclaimRaceOneWinner races two workers on reclaiming
@@ -443,7 +523,7 @@ func TestExpiredLeaseReclaimRaceOneWinner(t *testing.T) {
 	a := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "a", ttl: time.Minute}
 	b := &leaseManager{fs: faultfs.OS, dir: dir, manifest: "m", owner: "b", ttl: time.Minute}
 	for round := 0; round < 40; round++ {
-		l, err := dead.tryAcquire(0)
+		l, err := acquire(dead, 0)
 		if err != nil || l == nil {
 			t.Fatalf("round %d: dead holder failed to claim: %v", round, err)
 		}
@@ -458,7 +538,7 @@ func TestExpiredLeaseReclaimRaceOneWinner(t *testing.T) {
 			go func(i int, lm *leaseManager) {
 				defer wg.Done()
 				<-start
-				leases[i], errs[i] = lm.tryAcquire(0)
+				leases[i], errs[i] = acquire(lm, 0)
 			}(i, lm)
 		}
 		close(start)
@@ -477,16 +557,41 @@ func TestExpiredLeaseReclaimRaceOneWinner(t *testing.T) {
 				winner = i
 			}
 		}
-		// Exactly one may win; zero is also legal in principle (rename
-		// raced such that both lost) but must not happen when only two
-		// contend over a definitely-expired lease: the rename winner's
-		// claim faces no competition for the fresh slot. Pin the
-		// stronger property.
+		// Exactly one must win: each reclaimer's scan saw either the
+		// expired generation, whose successor only one of them can
+		// create, or the winner's live one.
 		if winner < 0 {
 			t.Fatalf("round %d: nobody reclaimed the expired lease", round)
 		}
 		leases[winner].release()
 	}
+
+	// The same interleaving, forced: a reclaimer whose scan saw the
+	// expired generation loses to a peer that has since claimed the next
+	// one, and the expired holder's renewal cannot take the cell back.
+	held, err := acquire(dead, 0)
+	if err != nil || held == nil {
+		t.Fatalf("dead holder failed to claim: %v", err)
+	}
+	time.Sleep(3 * time.Millisecond)
+	stale, err := a.scan(0)
+	if err != nil || !stale.stale {
+		t.Fatalf("scan of an expired lease: %+v, %v", stale, err)
+	}
+	won, err := acquire(b, 0)
+	if err != nil || won == nil {
+		t.Fatalf("peer failed to reclaim the expired lease: %v", err)
+	}
+	if l, err := a.claim(0, stale); err != nil || l != nil {
+		t.Fatalf("claim from a stale scan: lease %v, err %v; want it to lose", l != nil, err)
+	}
+	if err := held.renew(); !errors.Is(err, errLeaseLost) {
+		t.Fatalf("expired holder's renewal after the reclaim: %v, want errLeaseLost", err)
+	}
+	if !won.owned() {
+		t.Fatal("reclaimer lost the lease to the expired holder's renewal")
+	}
+	won.release()
 }
 
 // TestPoisonedCellQuarantines pre-loads a cell with a full failure
@@ -499,12 +604,15 @@ func TestPoisonedCellQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	at := &attempts{
-		fs: faultfs.OS, failDir: filepath.Join(dir, failDir), quarDir: filepath.Join(dir, quarantineDir),
-		manifest: man.ID, owner: "poisoner", backoff: time.Millisecond, max: 3,
+	poisoner := &leaseManager{
+		fs: faultfs.OS, dir: filepath.Join(dir, leaseDir), manifest: man.ID, owner: "poisoner", ttl: time.Minute,
 	}
 	for i := 1; i <= 3; i++ {
-		if err := at.recordFailure(0, i, fmt.Errorf("induced failure %d", i), uint64(i)); err != nil {
+		l, err := acquire(poisoner, 0)
+		if err != nil || l == nil {
+			t.Fatalf("claiming attempt %d: %v", i, err)
+		}
+		if err := l.fail(fmt.Errorf("induced failure %d", i), time.Millisecond); err != nil {
 			t.Fatalf("recording failure %d: %v", i, err)
 		}
 	}
@@ -545,7 +653,7 @@ func TestPoisonedCellQuarantines(t *testing.T) {
 }
 
 // TestWorkerCompletesOnFaultyCoordinationFS drives a worker whose
-// *coordination* filesystem (leases, journal, fail records) injects a
+// *coordination* filesystem (leases, journal, quarantine) injects a
 // deterministic storm of EIO and torn writes, and requires the campaign
 // to complete correctly once the fault budget is spent.
 func TestWorkerCompletesOnFaultyCoordinationFS(t *testing.T) {

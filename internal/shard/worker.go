@@ -42,7 +42,7 @@ type WorkerOptions struct {
 	// per subsequent failure; 0 means 1s.
 	Backoff time.Duration
 	// FS is the filesystem seam for the shard directory (leases,
-	// journal, fail and quarantine records); nil means the real one.
+	// journal and quarantine records); nil means the real one.
 	// Wiring a faultfs.Injector here chaos-tests the coordination layer
 	// without touching the engine's caches.
 	FS faultfs.FS
@@ -75,7 +75,7 @@ type Summary struct {
 	JournalHits int `json:"journal_hits"`
 	Failures    int `json:"failures"`
 	Quarantined int `json:"quarantined"`
-	// Reclaimed counts expired leases this worker tore down — each one
+	// Reclaimed counts expired leases this worker took over — each one
 	// absorbed a peer's crash or stall.
 	Reclaimed   int64         `json:"reclaimed"`
 	Duration    time.Duration `json:"duration_ns"`
@@ -96,7 +96,6 @@ type Worker struct {
 	attempts *attempts
 
 	settled []bool // journaled or quarantined, by cell
-	mine    []bool // journaled by this worker
 
 	executed    int
 	journalHits int
@@ -153,11 +152,10 @@ func NewWorker(dir string, opts WorkerOptions) (*Worker, error) {
 		},
 		journal: &journal{fs: fs, dir: filepath.Join(dir, journalDir), manifest: man.ID},
 		attempts: &attempts{
-			fs: fs, failDir: filepath.Join(dir, failDir), quarDir: filepath.Join(dir, quarantineDir),
-			manifest: man.ID, owner: opts.ID, backoff: opts.Backoff, max: opts.MaxAttempts,
+			fs: fs, quarDir: filepath.Join(dir, quarantineDir),
+			manifest: man.ID, backoff: opts.Backoff, max: opts.MaxAttempts,
 		},
 		settled: make([]bool, len(cells)),
-		mine:    make([]bool, len(cells)),
 	}, nil
 }
 
@@ -245,13 +243,8 @@ func (w *Worker) Run(ctx context.Context) (*Summary, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if _, ok := w.journal.load(i); ok {
-				w.settled[i] = true
+			if w.journaled(i) {
 				settled++
-				if !w.mine[i] {
-					w.journalHits++
-					journalSkips.Add(1)
-				}
 				continue
 			}
 			if _, ok := w.attempts.quarantined(i); ok {
@@ -259,26 +252,37 @@ func (w *Worker) Run(ctx context.Context) (*Summary, error) {
 				settled++
 				continue
 			}
-			hist := w.attempts.history(i)
-			if len(hist) >= w.opts.MaxAttempts {
-				if w.attempts.quarantine(w.cells[i], hist) == nil {
+			s, err := w.leases.scan(i)
+			if err != nil {
+				leaseErrors.Add(1)
+				continue // advisory layer: an unreadable lease costs a round
+			}
+			if len(s.failed) >= w.opts.MaxAttempts {
+				if w.attempts.quarantine(w.cells[i], s.failed) == nil {
 					w.settled[i] = true
 					settled++
 				}
 				continue
 			}
-			if ok, _ := w.attempts.eligible(hist, time.Now()); !ok {
+			if !w.attempts.eligible(s.failed, time.Now()) {
 				continue // backing off; revisit next round
 			}
-			l, err := w.leases.tryAcquire(i)
+			l, err := w.leases.claim(i, s)
 			if err != nil {
 				leaseErrors.Add(1)
-				continue // advisory layer: an unreadable lease costs a round
+				continue
 			}
 			if l == nil {
 				continue // live holder elsewhere
 			}
-			abandoned, executed := w.runCell(ctx, i, l, len(hist)+1)
+			// A peer may have completed and released the cell between
+			// the journal check above and the claim.
+			if w.journaled(i) {
+				l.release()
+				settled++
+				continue
+			}
+			abandoned, executed := w.runCell(ctx, i, l, len(s.failed)+1)
 			if abandoned {
 				return nil, errAbandoned
 			}
@@ -333,15 +337,15 @@ func (w *Worker) runCell(ctx context.Context, i int, l *lease, attempt int) (aba
 	stopHeartbeat()
 	if err != nil {
 		if ctx.Err() == nil {
-			w.failCell(i, attempt, err)
+			w.failCell(l, attempt, err)
+		} else {
+			l.release()
 		}
-		l.release()
 		return false, true
 	}
 	cell := &res.Cells[0]
 	if cell.Err != nil {
-		w.failCell(i, attempt, cell.Err)
-		l.release()
+		w.failCell(l, attempt, cell.Err)
 		return false, true
 	}
 	if w.opts.abandonBeforeJournal != nil && w.opts.abandonBeforeJournal(i) {
@@ -359,31 +363,45 @@ func (w *Worker) runCell(ctx context.Context, i int, l *lease, attempt int) (aba
 		// Computed but unpersistable (disk trouble): record as a failure
 		// so the retry/backoff machinery governs the re-attempt — maybe
 		// on a worker whose disk works.
-		w.failCell(i, attempt, err)
-		l.release()
+		w.failCell(l, attempt, err)
 		return false, true
 	}
 	w.settled[i] = true
-	w.mine[i] = true
 	w.executed++
 	l.release()
 	return false, true
 }
 
-// failCell records one failed attempt, absorbing bookkeeping errors
-// (the fail record is advisory; losing one means one extra retry).
-func (w *Worker) failCell(i, attempt int, cellErr error) {
-	w.failures++
-	if err := w.attempts.recordFailure(i, attempt, cellErr, w.leases.seq.Add(1)); err != nil {
-		leaseErrors.Add(1)
+// journaled reports whether the unsettled cell's journal record
+// exists — written by a peer or an earlier run — settling it and
+// counting a journal hit if so.
+func (w *Worker) journaled(i int) bool {
+	if _, ok := w.journal.load(i); !ok {
+		return false
 	}
+	w.settled[i] = true
+	w.journalHits++
+	journalSkips.Add(1)
+	return true
+}
+
+// failCell ends a failed attempt by releasing its lease as a failure
+// record, absorbing bookkeeping errors (the record is advisory; losing
+// one means one extra retry).
+func (w *Worker) failCell(l *lease, attempt int, cellErr error) {
+	w.failures++
+	if err := l.fail(cellErr, w.attempts.delay(attempt)); err != nil {
+		leaseErrors.Add(1)
+		return
+	}
+	cellFailures.Add(1)
 }
 
 // sweep removes stale coordination files once the campaign is settled:
-// every lease (all cells are done — any remaining lease file is a dead
-// holder's), leaked reclaim tombs, and orphaned fsatomic staging files.
-// Races with peers running the same sweep are benign; removal errors
-// are ignored (merge sweeps again).
+// every lease generation (all cells are done, so no lease is live) and
+// orphaned fsatomic staging files. A peer running the same sweep
+// removes the same files; removal errors are ignored (merge sweeps
+// again).
 func (w *Worker) sweep() {
 	dir := filepath.Join(w.dir, leaseDir)
 	entries, err := w.leases.fs.ReadDir(dir)
@@ -447,8 +465,10 @@ func (w *Worker) publishReport(s *Summary) error {
 	if err != nil {
 		return err
 	}
+	// The campaign is settled by now, so a transient fault here would
+	// fail a worker whose work is done: retry it like a cache write.
 	path := filepath.Join(w.dir, reportDir, w.opts.ID+".json")
-	return fsatomic.PublishFS(w.leases.fs, path, append(raw, '\n'))
+	return (&fsatomic.Publisher{FS: w.leases.fs}).Publish(path, append(raw, '\n'))
 }
 
 // sleepCtx sleeps for d or until the context ends.
