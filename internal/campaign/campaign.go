@@ -39,6 +39,7 @@ import (
 	"hmpt/internal/core"
 	"hmpt/internal/memsim"
 	"hmpt/internal/parallel"
+	"hmpt/internal/shim"
 	"hmpt/internal/trace"
 	"hmpt/internal/workloads"
 )
@@ -59,6 +60,17 @@ type Workload struct {
 type Platform struct {
 	Name     string
 	Platform *memsim.Platform
+	// fp is Platform.Fingerprint(), hashed once by Preset; empty means
+	// core hashes the platform per cell key.
+	fp string
+}
+
+// Preset returns a column whose platform fingerprint is hashed once,
+// here, instead of once per cell key. It is for presets that are built
+// once and shared, and p must never be written to afterwards: a stale
+// fingerprint would address another platform's analyses.
+func Preset(name string, p *memsim.Platform) Platform {
+	return Platform{Name: name, Platform: p, fp: p.Fingerprint()}
 }
 
 // Variant is one tuner-option overlay of a campaign matrix: a named
@@ -302,12 +314,13 @@ type capOutcome struct {
 
 // cellWork is the per-cell scheduling state of one Run.
 type cellWork struct {
-	cap     *capture
-	key     core.AnalysisKey
-	id      string // key.ID(), hashed once
-	haveKey bool
-	done    bool  // analysis served from the cache before stage 2
-	aErr    error // non-fatal: the analysis cache failed a load or store
+	cap        *capture
+	platformFP string // Platform.fp of the cell's column
+	key        core.AnalysisKey
+	id         string // key.ID(), hashed once
+	haveKey    bool
+	done       bool  // analysis served from the cache before stage 2
+	aErr       error // non-fatal: the analysis cache failed a load or store
 }
 
 // Run evaluates the matrix: cells already resolved by the analysis cache
@@ -351,7 +364,7 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 	// Enumerate cells and the distinct captures they need.
 	res := &Result{Cells: make([]Cell, 0, len(m.Workloads)*len(m.Platforms)*len(variants))}
 	caps := make(map[string]*capture)
-	capOf := make([]*capture, 0, cap(res.Cells)) // cell index -> capture
+	work := make([]cellWork, 0, cap(res.Cells))
 	for _, w := range m.Workloads {
 		for _, p := range m.Platforms {
 			for _, v := range variants {
@@ -368,16 +381,12 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 					c = &capture{key: key, id: id, factory: w.Factory, opts: opts}
 					caps[id] = c
 				}
-				capOf = append(capOf, c)
+				work = append(work, cellWork{cap: c, platformFP: p.fp})
 				res.Cells = append(res.Cells, Cell{
 					Workload: w.Name, Platform: p.Name, Variant: v.Name, Options: opts,
 				})
 			}
 		}
-	}
-	work := make([]cellWork, len(res.Cells))
-	for i := range work {
-		work[i].cap = capOf[i]
 	}
 
 	// Stage 0: probe the analysis cache. Cells without a GroupBy policy
@@ -397,7 +406,7 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 				if cell.Options.GroupBy != nil {
 					continue
 				}
-				key, err := core.AnalysisKeyFor(cell.Workload, cell.Options, nil)
+				key, err := work[i].analysisKey(cell, nil)
 				if err != nil {
 					continue
 				}
@@ -431,14 +440,14 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 		order = append(order, c)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].id < order[j].id })
-	famIndex := make(map[string]int)
+	famIndex := make(map[trace.FamilyKey]int)
 	var fams [][]*capture
 	for _, c := range order {
-		fid := c.key.Family().ID()
-		fi, ok := famIndex[fid]
+		fk := c.key.Family()
+		fi, ok := famIndex[fk]
 		if !ok {
 			fi = len(fams)
-			famIndex[fid] = fi
+			famIndex[fk] = fi
 			fams = append(fams, nil)
 		}
 		fams[fi] = append(fams[fi], c)
@@ -517,7 +526,7 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 			// probe instead of racing a sibling's publish.
 			probeInFlight := false
 			if caching && !work[i].haveKey {
-				key, err := core.AnalysisKeyFor(cell.Workload, cell.Options, c.ctx.Sites())
+				key, err := work[i].analysisKey(cell, c.ctx.Sites())
 				if err == nil {
 					work[i].key, work[i].id, work[i].haveKey = key, key.ID(), true
 					probeInFlight = true
@@ -561,6 +570,12 @@ func (e *Engine) RunContext(ctx context.Context, m Matrix) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// analysisKey is core.AnalysisKeyFor of the cell, built from the
+// capture ID the enumeration already hashed.
+func (w *cellWork) analysisKey(cell *Cell, sites []shim.SiteGroup) (core.AnalysisKey, error) {
+	return core.AnalysisKeyForCapture(cell.Workload, w.cap.id, w.platformFP, cell.Options, sites)
 }
 
 // loadAnalysis serves an analysis from the memo or the disk cache,

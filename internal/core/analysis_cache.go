@@ -76,11 +76,23 @@ func (k AnalysisKey) ID() string {
 // (ReplayContext.Sites); passing nil sites with a non-nil GroupBy is an
 // error rather than a silently unstable key.
 func AnalysisKeyFor(workload string, opts Options, sites []shim.SiteGroup) (AnalysisKey, error) {
+	return AnalysisKeyForCapture(workload, SnapshotKeyFor(workload, opts).ID(), "", opts, sites)
+}
+
+// AnalysisKeyForCapture is AnalysisKeyFor for a caller that has already
+// hashed the capture: snapshotID must be SnapshotKeyFor(workload,
+// opts).ID(), and platformFP, when not empty, the fingerprint of the
+// options' platform. The key is identical to AnalysisKeyFor's; only the
+// re-hashing is skipped.
+func AnalysisKeyForCapture(workload, snapshotID, platformFP string, opts Options, sites []shim.SiteGroup) (AnalysisKey, error) {
 	o := opts.withDefaults()
+	if platformFP == "" {
+		platformFP = o.Platform.Fingerprint()
+	}
 	key := AnalysisKey{
 		Workload:   workload,
-		SnapshotID: SnapshotKeyFor(workload, opts).ID(),
-		PlatformFP: o.Platform.Fingerprint(),
+		SnapshotID: snapshotID,
+		PlatformFP: platformFP,
 	}
 	h := fnv.New64a()
 	w := wire.NewHashWriter(h)

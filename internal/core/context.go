@@ -29,11 +29,12 @@ import (
 // context-shared analysis is byte-identical to a per-replay one.
 //
 // A ReplayContext is safe for concurrent use. Callers must treat the
-// snapshot, registry and trace it exposes as read-only.
+// snapshot, registry, site groups and trace it exposes as read-only.
 type ReplayContext struct {
-	snap *trace.Snapshot
-	al   *shim.Allocator
-	tr   *trace.Trace
+	snap  *trace.Snapshot
+	al    *shim.Allocator
+	tr    *trace.Trace
+	sites []shim.SiteGroup // al.Sites(), built once: al is never written after Restore
 
 	mu      sync.Mutex
 	counts  *ibs.CountTable                    // validated once, shared by every platform
@@ -66,6 +67,7 @@ func NewContext(snap *trace.Snapshot) (*ReplayContext, error) {
 		snap:    snap,
 		al:      al,
 		tr:      copyTrace(snap.Trace),
+		sites:   al.Sites(),
 		reports: make(map[string]*ibs.Report),
 		evals:   make(map[evalKey]*memsim.SweepEvaluator),
 	}, nil
@@ -79,8 +81,10 @@ func (c *ReplayContext) Workload() string { return c.snap.Meta.Workload }
 
 // Sites returns the capture's allocation site groups in first-appearance
 // order — the input AnalysisKeyFor needs to fingerprint a GroupBy
-// policy's effect on this capture.
-func (c *ReplayContext) Sites() []shim.SiteGroup { return c.al.Sites() }
+// policy's effect on this capture. The slice, and every group's Allocs,
+// is shared by all callers and must not be written to; a caller that
+// needs to modify it copies it first.
+func (c *ReplayContext) Sites() []shim.SiteGroup { return c.sites }
 
 // countTable returns the capture's validated count table — the
 // platform-independent half of report reconstruction — building it on

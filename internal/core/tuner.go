@@ -594,7 +594,15 @@ func (t *Tuner) buildGroups(ctx context.Context, m *memsim.Machine, tr *trace.Tr
 
 	o := t.opts
 	sweepEvals.Add(1) // the probe stage is one placement-costing pass
-	sites := al.Sites()
+	// A context's site groups are shared and read-only: the pre-groups
+	// below alias their Allocs but only ever append them into fresh
+	// slices.
+	var sites []shim.SiteGroup
+	if t.ctx != nil {
+		sites = t.ctx.Sites()
+	} else {
+		sites = al.Sites()
+	}
 	totalSites := len(sites)
 
 	// Pre-group sites: by GroupBy key when provided, else one pre-group

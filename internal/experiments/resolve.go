@@ -53,14 +53,25 @@ func KnownWorkload(name string) bool {
 	return false
 }
 
+// Built once, with their fingerprints hashed once: every request and
+// campaign resolving a preset name shares these columns. Nothing writes
+// to their platforms, which is what keeps the cached fingerprints true.
+var (
+	xeonMaxPreset = campaign.Preset("xeonmax", memsim.XeonMax9468())
+	dualPreset    = campaign.Preset("dual", memsim.DualXeonMax9468())
+)
+
 // PlatformByName resolves a platform preset name to a campaign matrix
 // column. The empty name selects the paper's single-socket Xeon Max.
+// The column's platform is shared by every caller and is read-only; a
+// caller that needs a modified machine builds its own (for example from
+// memsim.XeonMax9468).
 func PlatformByName(name string) (campaign.Platform, error) {
 	switch name {
 	case "", "xeonmax", "single":
-		return campaign.Platform{Name: "xeonmax", Platform: memsim.XeonMax9468()}, nil
+		return xeonMaxPreset, nil
 	case "dual", "dual-xeonmax":
-		return campaign.Platform{Name: "dual", Platform: memsim.DualXeonMax9468()}, nil
+		return dualPreset, nil
 	}
 	return campaign.Platform{}, fmt.Errorf("experiments: unknown platform preset %q (have xeonmax, dual)", name)
 }

@@ -9,36 +9,11 @@
 // which is what makes them safe for concurrent multi-process campaigns.
 package fsatomic
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-)
-
 // Publish atomically writes data to path. The temporary file is created
 // in path's directory (renames across filesystems are not atomic) with a
 // unique name, so concurrent publishers never collide on the staging
 // file; on any failure the staging file is removed and the destination
 // is untouched.
 func Publish(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("fsatomic: staging %s: %w", base, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fsatomic: publishing %s: %w", base, err)
-	}
-	return nil
+	return PublishFS(nil, path, data)
 }

@@ -36,15 +36,19 @@ func PublishFS(fs faultfs.FS, path string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("fsatomic: staging %s: %w", base, err)
 	}
-	defer fs.Remove(tmp.Name()) // no-op after a successful rename
+	// The staging file is removed on the error paths only: a successful
+	// rename has already consumed it.
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
+		fs.Remove(tmp.Name())
 		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
 	}
 	if err := tmp.Close(); err != nil {
+		fs.Remove(tmp.Name())
 		return fmt.Errorf("fsatomic: writing %s: %w", base, err)
 	}
 	if err := fs.Rename(tmp.Name(), path); err != nil {
+		fs.Remove(tmp.Name())
 		return fmt.Errorf("fsatomic: publishing %s: %w", base, err)
 	}
 	return nil

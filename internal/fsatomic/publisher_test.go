@@ -42,6 +42,57 @@ func TestPublishFSMatchesPublish(t *testing.T) {
 	}
 }
 
+// removeCountFS counts Remove calls and, when failRename is set, fails
+// every Rename.
+type removeCountFS struct {
+	faultfs.FS
+	removes    int
+	failRename bool
+}
+
+func (f *removeCountFS) Remove(path string) error {
+	f.removes++
+	return f.FS.Remove(path)
+}
+
+func (f *removeCountFS) Rename(oldpath, newpath string) error {
+	if f.failRename {
+		return errors.New("rename refused")
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// TestPublishFSRemovesOnlyOnFailure: a successful publish spends no
+// Remove (the rename consumed the staging file), and a failed rename
+// removes its staging file.
+func TestPublishFSRemovesOnlyOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	fs := &removeCountFS{FS: faultfs.OS}
+	if err := PublishFS(fs, filepath.Join(dir, "entry"), []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if fs.removes != 0 {
+		t.Errorf("successful publish made %d Remove calls, want 0", fs.removes)
+	}
+	if n := countTemps(t, dir); n != 0 {
+		t.Errorf("%d staging files left behind after a successful publish", n)
+	}
+
+	fs.failRename = true
+	if err := PublishFS(fs, filepath.Join(dir, "other"), []byte("payload")); err == nil {
+		t.Fatal("publish succeeded through a failing rename")
+	}
+	if fs.removes != 1 {
+		t.Errorf("failed rename made %d Remove calls, want 1", fs.removes)
+	}
+	if n := countTemps(t, dir); n != 0 {
+		t.Errorf("%d staging files left behind after a failed rename", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "other")); !os.IsNotExist(err) {
+		t.Errorf("failed publish created its destination: %v", err)
+	}
+}
+
 // TestPublisherAbsorbsTransientFaults: a flaky device (EIO) is retried
 // and the caller never sees the fault.
 func TestPublisherAbsorbsTransientFaults(t *testing.T) {

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sync/atomic"
@@ -232,13 +233,19 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string)
 	_ = json.NewEncoder(w).Encode(&e)
 }
 
+// writeJSON answers 200 with v as compact JSON and a trailing newline,
+// marshalled once and written in one Write.
 func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, v any) {
 	start := time.Now()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; all that is left is to count it.
+	b, err := json.Marshal(v)
+	if err == nil {
+		w.Header().Set("Content-Type", "application/json")
+		_, err = w.Write(append(b, '\n'))
+	}
+	if err != nil {
+		// Marshal fails only on an unencodable value (a NaN figure),
+		// Write only once the client is gone: all that is left is to
+		// count it.
 		s.met.errors.Inc("encode_failed")
 		s.log.Printf("hmptd: encoding %s response: %v", endpoint, err)
 		return
@@ -278,7 +285,18 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	start := time.Now()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		// One JSON value per body: anything after it but whitespace is
+		// as malformed as a syntax error.
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = terr
+			if err == nil {
+				err = errors.New("request body holds more than one JSON value")
+			}
+		}
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "request_too_large",
@@ -295,7 +313,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // requestContext derives one request's run context: the http.Request
 // context (cancelled when the client disconnects) bounded by the
 // request's own timeout_ms when set, else the server-wide
-// RequestTimeout when configured.
+// RequestTimeout when configured. Without a timeout it is the request
+// context itself, with a no-op cancel.
 func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.RequestTimeout
 	if timeoutMs > 0 {
@@ -304,7 +323,7 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 	if timeout > 0 {
 		return context.WithTimeout(r.Context(), timeout)
 	}
-	return context.WithCancel(r.Context())
+	return r.Context(), func() {}
 }
 
 // writeRunError maps a failed run to its structured response:
@@ -403,18 +422,20 @@ func cellResult(c *campaign.Cell) CellResult {
 		out.Error = c.Err.Error()
 		return out
 	}
+	// The Table II figures of an.TableIIRow, with the best
+	// configuration taken from the same MaxSpeedup pass.
 	an := c.Analysis
-	row := an.TableIIRow()
-	out.MaxSpeedup = row.MaxSpeedup
-	out.HBMOnlySpeedup = row.HBMOnlySpeedup
-	out.NinetyUsage = row.NinetyUsage
-	out.MemoryBytes = int64(row.MemoryUsage)
-	out.FilteredAllocs = row.FilteredAllocs
+	var best *core.Config
+	out.MaxSpeedup, best = an.MaxSpeedup()
+	if best != nil {
+		out.BestConfig = best.Label
+	}
+	out.HBMOnlySpeedup = an.HBMOnly().Speedup
+	out.NinetyUsage, _ = an.NinetyPercentUsage()
+	out.MemoryBytes = int64(an.TotalBytes)
+	out.FilteredAllocs = an.FilteredAllocs
 	out.BaselineSec = an.BaselineTime.Seconds()
 	out.SampleCount = an.SampleCount
-	if _, cfg := an.MaxSpeedup(); cfg != nil {
-		out.BestConfig = cfg.Label
-	}
 	return out
 }
 
@@ -686,9 +707,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !ready {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(&st)
+	_ = json.NewEncoder(w).Encode(&st)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -65,6 +65,8 @@ func TestBadJSONReturns400(t *testing.T) {
 		"{not json",
 		`{"workload": 7}`,
 		`{"workload":"synth","no_such_field":true}`,
+		`{"workload":"synth"} trailing`,
+		`{"workload":"synth"}{"workload":"nope"}`,
 	} {
 		resp, b := postJSON(t, ts.URL+"/v1/analyze", body)
 		if resp.StatusCode != http.StatusBadRequest {
